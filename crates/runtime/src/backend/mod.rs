@@ -6,58 +6,77 @@
 //! trait covering both paths plus the host-transfer cost model. The
 //! [`Executor`](crate::Executor) and the autonomous-driving study
 //! dispatch *only* through `dyn Backend` — a new architecture plugs in
-//! without touching either. The two reconfigurable-systolic designs the
-//! ROADMAP named ([`ArrayFlexBackend`], [`FlexSaBackend`]) landed
-//! exactly this way; the step-by-step recipe they followed is written
-//! down in `docs/ADDING_A_BACKEND.md`.
+//! without touching either. The two reconfigurable-systolic baselines
+//! ([`ArrayFlexBackend`], [`FlexSaBackend`]) are two
+//! [`ArrayModel`]s behind one generic [`ConfigurableArray`]; the
+//! step-by-step recipe is written down in `docs/ADDING_A_BACKEND.md`.
 //!
 //! # Adding an eighth backend
 //!
-//! A new backend is one struct and one `impl` — under 50 lines. Say you
-//! want a ReDas-style fine-grained reshaping array (PAPERS.md):
+//! A fixed-fabric engine implements [`Backend`] directly (see
+//! [`SmaBackend`]). An array with a small set of fabric configurations
+//! implements [`ArrayModel`] only: [`ConfigurableArray`] supplies
+//! per-shape selection, pinning, the memo cache, [`Backend`] and
+//! [`Reconfigurable`]. Say you want a ReDas-style array that reshapes
+//! between two dataflows (PAPERS.md):
 //!
 //! ```
-//! use sma_runtime::backend::{
-//!     gpu_irregular_estimate, Backend, GemmCache, IrregularEstimate, IrregularWork,
-//!     RuntimeError,
-//! };
-//! use sma_core::model::GemmEstimate;
-//! use sma_core::{SmaConfig, SmaGemmModel};
-//! use sma_sim::GpuConfig;
+//! use sma_mem::MemStats;
+//! use sma_runtime::backend::{ArrayModel, Backend, ConfigurableArray, Tiling};
 //! use sma_tensor::GemmShape;
 //!
+//! #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+//! enum Dataflow {
+//!     WeightStationary,
+//!     OutputStationary,
+//! }
+//!
 //! #[derive(Debug)]
-//! struct RedasBackend {
-//!     gpu: GpuConfig,
-//!     model: SmaGemmModel, // or your own latency model
-//!     cache: GemmCache,
+//! struct RedasModel;
+//!
+//! impl ArrayModel for RedasModel {
+//!     type Config = Dataflow;
+//!     const CONFIGS: &'static [Dataflow] =
+//!         &[Dataflow::WeightStationary, Dataflow::OutputStationary];
+//!     const NAME: &'static str = "ReDas";
+//!     const PINNED_NAMES: &'static [&'static str] = &["ReDas-ws", "ReDas-os"];
+//!     const LABELS: &'static [&'static str] = &["ws", "os"];
+//!     const PEAK_MACS_PER_SM_CYCLE: u64 = 256;
+//!
+//!     fn tile_dims(_dataflow: Dataflow) -> (usize, usize) {
+//!         (16, 16)
+//!     }
+//!
+//!     fn compute_cycles(shape: GemmShape, dataflow: Dataflow, tiling: &Tiling) -> u64 {
+//!         let m = shape.m as u64;
+//!         let pass = match dataflow {
+//!             // Resident weights: fill/drain skew once per pass.
+//!             Dataflow::WeightStationary => m + 32,
+//!             // Resident outputs: no skew, two-cycle accumulate per row.
+//!             Dataflow::OutputStationary => 2 * m + 1,
+//!         };
+//!         tiling.waves() * pass + 800
+//!     }
+//!
+//!     fn array_ledger(shape: GemmShape, _dataflow: Dataflow, tiling: &Tiling) -> MemStats {
+//!         MemStats {
+//!             systolic_macs: tiling.tiles() * 256 * shape.m as u64,
+//!             ..MemStats::default()
+//!         }
+//!     }
 //! }
 //!
-//! impl Backend for RedasBackend {
-//!     fn name(&self) -> &'static str {
-//!         "ReDas"
-//!     }
-//!     fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
-//!         Ok(self.cache.get_or_compute(shape, || self.model.estimate(shape)))
-//!     }
-//!     fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
-//!         // Reshapable arrays fall back to SIMD lanes, like SMA.
-//!         gpu_irregular_estimate(&self.gpu, &work)
-//!     }
-//!     fn transfer_ms(&self, _bytes: u64) -> f64 {
-//!         0.0 // on-die: no host hand-off
-//!     }
-//!     fn simd_mode_boost(&self) -> f64 {
-//!         2.0
-//!     }
-//! }
+//! type RedasBackend = ConfigurableArray<RedasModel>;
 //!
-//! let backend = RedasBackend {
-//!     gpu: GpuConfig::volta(),
-//!     model: SmaGemmModel::new(SmaConfig::iso_flop_2sma()),
-//!     cache: GemmCache::default(),
-//! };
+//! let backend = RedasBackend::new();
 //! assert!(backend.gemm(GemmShape::square(512)).unwrap().time_ms > 0.0);
+//! // Skinny streams reshape to output-stationary; at m = 31 the two
+//! // dataflows tie and selection keeps the earlier one.
+//! let fc = GemmShape::new(1, 4096, 4096);
+//! assert_eq!(backend.config_for(fc), Dataflow::OutputStationary);
+//! let tie = GemmShape::new(31, 4096, 4096);
+//! assert_eq!(backend.config_for(tie), Dataflow::WeightStationary);
+//! assert_eq!(RedasBackend::pinned(Dataflow::OutputStationary).name(), "ReDas-os");
 //! ```
 //!
 //! Wire it to an [`Executor`](crate::Executor) with
@@ -70,7 +89,7 @@
 //!
 //! ```text
 //! let custom = Executor::builder(Platform::Sma2) // key used for labels
-//!     .backend(Arc::new(RedasBackend { /* as above */ }))
+//!     .backend(Arc::new(RedasBackend::new()))
 //!     .build();
 //! let run = Sweep::grid(&[custom], &zoo_networks()).run_parallel(threads);
 //! ```
@@ -79,10 +98,11 @@
 //! bench crate sits above this one, so the snippet cannot run here).
 //! Prefer handing sweep workers a compiled plan
 //! ([`Executor::plan`](crate::Executor::plan)): replays never call back
-//! into the backend, so workers cannot contend on your [`GemmCache`] no
+//! into the backend, so workers cannot contend on its [`GemmCache`] no
 //! matter how many threads the sweep fans across.
 
 mod arrayflex;
+mod configurable;
 mod flexsa;
 mod gpu;
 mod tpu_host;
@@ -90,6 +110,7 @@ mod tpu_host;
 pub use arrayflex::{
     ArrayFlexBackend, ArrayFlexModel, PipelineConfig, ARRAYFLEX_COLS, ARRAYFLEX_ROWS,
 };
+pub use configurable::{ArrayModel, ConfigurableArray, Tiling};
 pub use flexsa::{
     FlexSaBackend, FlexSaMode, FlexSaModel, FLEXSA_FULL_DIM, FLEXSA_PRUNE_FRACTION, FLEXSA_SUB_DIM,
 };

@@ -4,8 +4,10 @@
 //! The *shapes* of every experiment come from the mechanistic models in
 //! this workspace; these constants pin the absolute scale where the paper
 //! depends on properties of real silicon we cannot derive (SASS scheduling
-//! slack, PCIe software overheads, …). EXPERIMENTS.md records the
-//! paper-vs-measured outcome for every figure that consumes them.
+//! slack, PCIe software overheads, …). The paper-vs-model residual of
+//! the headline figures is pinned by `tests/end_to_end.rs` and
+//! reported as the benchmark's `fidelity.*` metrics
+//! (`perfbench/README.md`).
 
 /// Extra non-FMA instructions the SIMD GEMM inner loop issues per FMA
 /// (pointer arithmetic, predicate handling, loop control), measured from

@@ -108,8 +108,8 @@ fn batch_stacking_flips_the_selected_configuration() {
     );
 
     let fs = FlexSaBackend::new();
-    assert_eq!(fs.mode_for(fc), FlexSaMode::SubArrays);
-    assert_eq!(fs.mode_for(stacked), FlexSaMode::FullArray);
+    assert_eq!(fs.config_for(fc), FlexSaMode::SubArrays);
+    assert_eq!(fs.config_for(stacked), FlexSaMode::FullArray);
 
     for backend in [&af as &dyn Backend, &fs as &dyn Backend] {
         let unit = backend.gemm(fc).unwrap().time_ms;
