@@ -24,7 +24,7 @@ use crate::sweep::escape_json;
 use sma_runtime::serve::{
     diff_outcomes, discrete_outcomes, percentile_ms, replay, BatchPolicy, EngineConfig, Immediate,
     LiveConfig, LiveMode, LiveServer, LoadGenerator, LoadShape, Placement, PlatformAffinity,
-    Request, RoundRobin, ServeCluster, ServeRun, SizeK, TransportModel,
+    ReconfigPolicy, Request, RoundRobin, ServeCluster, ServeRun, SizeK, TransportModel,
 };
 use sma_runtime::{Executor, Platform, RuntimeError};
 use std::fmt::Write as _;
@@ -63,6 +63,9 @@ pub struct LiveCombo {
     pub agreement: bool,
     /// Human-readable divergences (empty when `agreement`).
     pub diffs: Vec<String>,
+    /// Traffic-mix window evaluations in the replay (pinned equal to
+    /// the live run's by the oracle).
+    pub reconfig_evaluations: u64,
     /// Live latency stats over served requests, simulated ms
     /// (wall-derived instants — machine-dependent).
     pub live_p50_ms: f64,
@@ -165,8 +168,16 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
         .with_transport(transport)
         .with_mode(mode);
     // Unbounded cache + online admission: the configuration whose
-    // discrete outcomes are provably timing-independent.
-    let engine = EngineConfig::default().with_compile_cost(0.05);
+    // discrete outcomes are provably timing-independent. Serve-time
+    // reconfiguration is on too: it is trace-deterministic, and the
+    // ArrayFlex and FlexSA shards make the oracle check its counters
+    // and its compiled plans.
+    let engine = EngineConfig::default()
+        .with_compile_cost(0.05)
+        .with_reconfig(ReconfigPolicy {
+            window: 16,
+            every: 4,
+        });
 
     // The timing-robust combos: trace-deterministic placements ×
     // timing-independent batch partitions.
@@ -223,6 +234,7 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
             rejected: report.run.rejected.len(),
             agreement: diffs.is_empty(),
             diffs,
+            reconfig_evaluations: replayed.reconfig.evaluations,
             live_p50_ms: percentile_ms(&live_lat, 50.0),
             live_p99_ms: percentile_ms(&live_lat, 99.0),
             replay_p50_ms: percentile_ms(&replay_lat, 50.0),
@@ -309,6 +321,11 @@ impl LiveBenchReport {
                 .collect::<Vec<_>>()
                 .join(", ");
             let _ = writeln!(out, "      \"discrete_diffs\": [{diffs}],");
+            let _ = writeln!(
+                out,
+                "      \"reconfig_evaluations\": {},",
+                combo.reconfig_evaluations
+            );
             let _ = writeln!(out, "      \"live_p50_ms\": {},", combo.live_p50_ms);
             let _ = writeln!(out, "      \"live_p99_ms\": {},", combo.live_p99_ms);
             let _ = writeln!(out, "      \"replay_p50_ms\": {},", combo.replay_p50_ms);
@@ -353,6 +370,10 @@ mod tests {
         assert!(report.all_agree(), "{:#?}", report.combos);
         for combo in &report.combos {
             assert_eq!(combo.served + combo.rejected, 36);
+            assert!(
+                combo.reconfig_evaluations > 0,
+                "the smoke exercises serve-time reconfiguration"
+            );
         }
     }
 

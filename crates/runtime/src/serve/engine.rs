@@ -3,7 +3,8 @@
 //! One deterministic event queue drives the whole cluster: **arrival**
 //! events admit requests (invoking the [`Placement`] online, with a
 //! live [`ClusterView`]), **batch-close** events fire at the instant a
-//! [`BatchPolicy`] named in a [`PolicyDecision::WaitUntil`],
+//! [`BatchPolicy`] named in a
+//! [`PolicyDecision::WaitUntil`](super::PolicyDecision::WaitUntil),
 //! **service-complete** events free a shard and let it dispatch again,
 //! and **fault** events from the configured [`FaultPlan`] crash,
 //! degrade or stall shards (recovery — retries, hedges — rides the
@@ -28,31 +29,32 @@
 //!   three-phase pipeline's outcomes bit for bit (pinned by
 //!   `tests/serve_engine.rs`).
 //!
-//! Plan memory is simulated per shard by a capacity-bounded LRU cache
-//! keyed on `(network, batch)` and charged with
-//! [`NetworkPlan::mem_bytes`](crate::NetworkPlan::mem_bytes); a miss
-//! bills `compile_ms_per_layer × layers` of simulated latency before
-//! the batch starts executing.
+//! Everything one shard decides — its queues, batch selection, launch
+//! pricing, fault-window state, reconfiguration window and records —
+//! lives in the sans-IO `ShardCore` (`serve/shard.rs`), which the live
+//! twin drives too. This engine clocks the cores from its event heap
+//! and keeps only what is cluster-wide or event-specific: dispatch
+//! epochs and in-flight aborts, crash/recover, compile-fail gating,
+//! batch-close timers, retries, hedges and the served-id dedup, the
+//! autoscaler, and the preplaced per-network future counts.
 //!
 //! The fault model, injected-event ordering and recovery semantics are
 //! specified in `docs/FAULT_TOLERANCE.md`; an empty [`FaultPlan`] (the
 //! default) leaves every byte of the fault-free engine's output
 //! untouched, pinned by `tests/serve_fault.rs`.
 
-use super::fault::{
-    ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShardFaultStats, ShedPolicy,
-};
+use super::fault::{ClassFaultStats, FaultKind, FaultPlan, HedgePolicy, RetryPolicy, ShedPolicy};
 use super::load::Request;
-use super::metrics::PlanCacheStats;
-use super::placement::{ClusterView, Placement};
-use super::policy::{BatchPolicy, PolicyDecision};
+use super::placement::{place, ClusterView, Placement, ViewGauges};
+use super::policy::BatchPolicy;
 use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
+use super::shard::{close_fleet, Batch, ShardCore};
 use super::slo::PreemptPolicy;
-use super::{BatchRecord, ServeCluster, ServedRequest, ShardReport};
+use super::{ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
 use sma_energy::EnergyModel;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// When the [`Placement`] is consulted and what it may see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +101,11 @@ impl CacheBudget {
         self.for_shard(shard).is_none_or(|budget| bytes <= budget)
     }
 
+    /// Whether `shard`'s budget can ever hold `network`'s plan.
+    pub(super) fn fits(&self, cluster: &ServeCluster, shard: usize, network: usize) -> bool {
+        self.admits(shard, cluster.unit_plan_bytes()[shard][network])
+    }
+
     /// Report label (`unbounded`, `32KiB`, `per-shard`).
     #[must_use]
     pub fn label(&self) -> String {
@@ -107,6 +114,35 @@ impl CacheBudget {
             CacheBudget::Uniform(bytes) => format!("{}KiB", bytes / 1024),
             CacheBudget::PerShard(_) => "per-shard".into(),
         }
+    }
+}
+
+/// The one online admission rule, shared by the engine and the live
+/// front door: the placement's choice if its cache budget can ever hold
+/// the request's plan and it is `accepting`, else the first fitting
+/// accepting shard, else the first fitting shard (scaling never causes
+/// a rejection), else `None` — admission rejects.
+///
+/// # Panics
+///
+/// Panics if the placement routes outside the cluster.
+pub(super) fn admit_online(
+    cluster: &ServeCluster,
+    budget: &CacheBudget,
+    placement: &mut dyn Placement,
+    request: &Request,
+    view: &ClusterView<'_>,
+    accepting: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let shard_count = cluster.shard_count();
+    let chosen = place(placement, request, view);
+    let fits = |shard: usize| budget.fits(cluster, shard, request.network);
+    if fits(chosen) && accepting(chosen) {
+        Some(chosen)
+    } else {
+        (0..shard_count)
+            .find(|&shard| fits(shard) && accepting(shard))
+            .or_else(|| (0..shard_count).find(|&shard| fits(shard)))
     }
 }
 
@@ -278,87 +314,6 @@ pub struct ServeRun {
     pub reconfig: ReconfigStats,
 }
 
-/// Capacity-bounded LRU over simulated plan residency, keyed on
-/// `(network, batch)`.
-#[derive(Debug)]
-pub(super) struct PlanCache {
-    budget: Option<u64>,
-    /// `(bytes, last_use)` per resident plan; `last_use` ticks are
-    /// unique, so the LRU victim is always unambiguous.
-    entries: BTreeMap<(usize, usize), (u64, u64)>,
-    resident_bytes: u64,
-    tick: u64,
-    stats: PlanCacheStats,
-}
-
-impl PlanCache {
-    pub(super) fn new(budget: Option<u64>) -> Self {
-        PlanCache {
-            budget,
-            entries: BTreeMap::new(),
-            resident_bytes: 0,
-            tick: 0,
-            stats: PlanCacheStats::default(),
-        }
-    }
-
-    /// Whether a plan is resident right now (no stats side effects —
-    /// the transient-compile-fail gate peeks without billing).
-    pub(super) fn contains(&self, key: &(usize, usize)) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Looks up (and on miss admits) a plan, returning the simulated
-    /// compile charge: 0 on a hit, `compile_ms` on a miss. Eviction is
-    /// LRU until the new plan fits; a plan larger than the whole
-    /// budget empties the cache and is admitted anyway (the admission
-    /// controller keeps such requests out under [`Admission::Online`],
-    /// so this only arises when a caller opts out of admission
-    /// control).
-    pub(super) fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        if let Some((_, last_use)) = self.entries.get_mut(&key) {
-            *last_use = self.tick;
-            self.stats.hits += 1;
-            return 0.0;
-        }
-        self.stats.misses += 1;
-        if let Some(budget) = self.budget {
-            while self.resident_bytes + bytes > budget && !self.entries.is_empty() {
-                let victim = *self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, &(_, last_use))| last_use)
-                    .map(|(k, _)| k)
-                    // sma-lint: allow(no-panic) — the loop guard
-                    // just checked !entries.is_empty().
-                    .expect("non-empty cache has an LRU victim");
-                // sma-lint: allow(no-panic) — victim was read out of
-                // this map two lines up; no intervening mutation.
-                let (evicted_bytes, _) = self.entries.remove(&victim).expect("victim resident");
-                self.resident_bytes -= evicted_bytes;
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries.insert(key, (bytes, self.tick));
-        self.resident_bytes += bytes;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.resident_bytes);
-        compile_ms
-    }
-
-    /// Bytes currently resident (the live gauge behind
-    /// [`ClusterView::resident_plan_bytes`](super::ClusterView)).
-    pub(super) fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    pub(super) fn into_stats(mut self) -> PlanCacheStats {
-        self.stats.resident_bytes = self.resident_bytes;
-        self.stats
-    }
-}
-
 /// Event classes, in same-instant processing order: arrivals (class 0,
 /// merged straight from the sorted trace rather than the heap) enqueue
 /// before a completion evaluates (the pre-engine drain admitted
@@ -387,24 +342,18 @@ enum EventKind {
     /// The in-flight batch of epoch `epoch` finishes (stale epochs —
     /// batches a crash aborted — are ignored).
     Complete { epoch: u64 },
-    /// A batch-close timer from a [`PolicyDecision::WaitUntil`].
+    /// A batch-close timer from a
+    /// [`PolicyDecision::WaitUntil`](super::PolicyDecision::WaitUntil).
     Timer,
-    /// [`FaultKind::Crash`] fires.
-    Crash { recover_ms: f64 },
+    /// A scheduled fault fires (a degrade or compile-stall window
+    /// schedules its own close; a transient compile-failure window
+    /// closes by timestamp comparison).
+    Fault(FaultKind),
     /// The shard comes back up (stale if a later crash extended the
     /// outage).
     Recover,
-    /// [`FaultKind::Degrade`] window opens.
-    DegradeStart { factor: f64, window_ms: f64 },
-    /// A degrade window closes.
-    DegradeEnd,
-    /// [`FaultKind::StallCompile`] window opens.
-    StallStart { extra_ms: f64, window_ms: f64 },
-    /// A compile-stall window closes.
-    StallEnd,
-    /// [`FaultKind::TransientCompileFail`] window opens (closes by
-    /// timestamp comparison; blocked shards schedule their own wake).
-    CompileFailStart { window_ms: f64 },
+    /// A degrade or compile-stall window closes.
+    WindowClose(FaultKind),
     /// A crash victim re-enters admission after its backoff.
     Retry { request: Request, from_shard: usize },
     /// The hedge delay of an admitted request expired.
@@ -452,94 +401,18 @@ impl Ord for Event {
     }
 }
 
-/// The batch currently executing on a shard. Recording happens at
-/// completion (not dispatch), so a crash can abort the batch without
-/// leaving phantom records behind.
+/// The batch currently executing on a shard.
 struct InFlightBatch {
-    network: usize,
-    start_ms: f64,
-    compile_ms: f64,
-    service_ms: f64,
+    batch: Batch,
     /// Dispatch epoch: a crash bumps past it, invalidating the
     /// completion event already in the queue.
     epoch: u64,
-    requests: Vec<Request>,
 }
 
-/// Per-shard reconfiguration state: the admission window and the
-/// pinned fabric configuration, priced once per run from the backend's
-/// `Reconfigurable` capability.
-///
-/// Decisions read only the shard's *admission* history (arrival-event
-/// enqueues — never retries, hedges or preemption re-queues, and never
-/// completion timing), so the pinned configuration at any point is a
-/// pure function of (trace, placement): trace-deterministic, inside
-/// the live-twin oracle's timing-robust envelope.
-struct ReconfigShard {
-    /// Sliding window of admitted network ids, newest at the back.
-    window: VecDeque<usize>,
-    window_cap: usize,
-    every: u64,
-    admissions: u64,
-    /// The currently pinned configuration index.
-    pinned: usize,
-    /// `cycles[config][network]`: whole-network compute cycles under a
-    /// pinned configuration (pure integers — no float ties).
-    cycles: Vec<Vec<u64>>,
-    /// `penalty[config][network]`: pinned service-time multiplier
-    /// relative to per-shape-best (always >= 1).
-    penalty: Vec<Vec<f64>>,
-}
-
-impl ReconfigShard {
-    /// Feeds one admission into the window; every `every` admissions,
-    /// re-pins the configuration minimising total cycles over the
-    /// window's shape histogram (ties to the lowest index).
-    fn observe(&mut self, net: usize, stats: &mut ReconfigStats) {
-        self.window.push_back(net);
-        if self.window.len() > self.window_cap {
-            self.window.pop_front();
-        }
-        self.admissions += 1;
-        if !self.admissions.is_multiple_of(self.every) {
-            return;
-        }
-        stats.evaluations += 1;
-        let mut counts = vec![0u64; self.cycles[0].len()];
-        for &observed in &self.window {
-            counts[observed] += 1;
-        }
-        let best = best_config(&self.cycles, &counts);
-        if best != self.pinned {
-            self.pinned = best;
-            stats.reconfigs += 1;
-        }
-    }
-}
-
-/// The configuration minimising `Σ counts[net] × cycles[config][net]`
-/// (ties to the lowest index; u128 accumulation cannot overflow).
-fn best_config(cycles: &[Vec<u64>], counts: &[u64]) -> usize {
-    let mut best = 0usize;
-    let mut best_cost = u128::MAX;
-    for (config, row) in cycles.iter().enumerate() {
-        let cost: u128 = row
-            .iter()
-            .zip(counts)
-            .map(|(&c, &k)| u128::from(c) * u128::from(k))
-            .sum();
-        if cost < best_cost {
-            best_cost = cost;
-            best = config;
-        }
-    }
-    best
-}
-
-/// Live state of one shard inside the event loop.
-struct ShardState {
-    /// Per-network FIFO queues of admitted-but-undispatched requests.
-    queues: Vec<VecDeque<Request>>,
+/// One shard inside the event loop: its [`ShardCore`] plus the state
+/// that exists only because an event heap clocks it.
+struct Shard<'a> {
+    core: ShardCore<'a>,
     /// Preplaced mode: arrivals still to come for this shard, per
     /// network (the oracle the legacy drain exposed to policies).
     future_per_net: Vec<usize>,
@@ -551,56 +424,27 @@ struct ShardState {
     down_until: Option<f64>,
     /// When the current outage began (meaningful only while down).
     down_since: f64,
-    /// Nesting depth of active degrade windows.
-    degrade_depth: u32,
-    /// Live service-time multiplier (1.0 when no window is active;
-    /// with overlapping windows the most recent factor wins).
-    degrade_factor: f64,
-    /// Nesting depth of active compile-stall windows.
-    stall_depth: u32,
-    /// Extra compile-on-miss latency while stalled (0 when clear).
-    stall_extra_ms: f64,
     /// Transient compile failures are active while `now` is before
     /// this instant.
     compile_fail_until: f64,
     /// Earliest batch-close timer currently scheduled (dedup only —
     /// stale timers are harmless, they just re-evaluate).
     pending_timer: f64,
-    /// Memoized `(network, batch) → service ms`; first touch compiles
-    /// the plan through the executor.
-    service_ms: BTreeMap<(usize, usize), f64>,
-    cache: PlanCache,
-    /// Live queued-request count (all networks).
-    depth: usize,
-    depth_max: usize,
-    /// `∫ depth dt` for the time-weighted mean queue depth.
-    depth_integral_ms: f64,
-    depth_last_ms: f64,
-    /// Serve-time reconfiguration state (`None` = the backend is not
-    /// reconfigurable, or the feature is off).
-    reconfig: Option<ReconfigShard>,
-    report: ShardReport,
 }
 
-impl ShardState {
-    /// Records a queue-depth change at `now` (time-weighted).
-    fn note_depth(&mut self, now_ms: f64, depth: usize) {
-        self.depth_integral_ms += self.depth as f64 * (now_ms - self.depth_last_ms);
-        self.depth_last_ms = now_ms;
-        self.depth = depth;
-        self.depth_max = self.depth_max.max(depth);
-    }
-
+impl Shard<'_> {
     /// Size of the in-flight batch (0 when idle).
     fn in_flight_len(&self) -> usize {
-        self.in_flight.as_ref().map_or(0, |b| b.requests.len())
+        self.in_flight
+            .as_ref()
+            .map_or(0, |f| f.batch.requests.len())
     }
 
     /// Outstanding requests on this shard: queued + in flight — the
     /// engine-side twin of [`ClusterView::outstanding`], and the one
     /// definition the backlog gauge and the autoscaler both read.
     fn outstanding(&self) -> usize {
-        self.depth + self.in_flight_len()
+        self.core.queued() + self.in_flight_len()
     }
 }
 
@@ -609,9 +453,8 @@ impl ShardState {
 /// handlers that consult it (it is the caller's mutable state).
 struct Engine<'a> {
     cluster: &'a ServeCluster,
-    policy: &'a dyn BatchPolicy,
     config: &'a EngineConfig,
-    shards: Vec<ShardState>,
+    shards: Vec<Shard<'a>>,
     heap: BinaryHeap<Event>,
     seq: u64,
     rejected: Vec<Request>,
@@ -651,13 +494,8 @@ struct Engine<'a> {
     /// Cumulative arrivals per network: the observed traffic mix the
     /// frontier weighs shard costs by.
     mix_counts: Vec<u64>,
-    reconfig_stats: ReconfigStats,
     // Scratch buffers for the live view (rebuilt per consultation).
-    live_queued: Vec<usize>,
-    live_in_flight: Vec<usize>,
-    live_resident: Vec<u64>,
-    live_healthy: Vec<bool>,
-    live_degrade: Vec<f64>,
+    live: ViewGauges,
 }
 
 /// Runs the engine. Consumes the placement's mutable state for one
@@ -732,98 +570,17 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let shard_count = cluster.shard_count();
         let net_count = cluster.networks().len();
-        // Reconfiguration pricing: pure integers off the backend's
-        // cycle model, computed once per run (and only when the
-        // feature is on — the default path never touches it).
-        let net_shapes: Vec<Vec<sma_tensor::GemmShape>> = if config.reconfig.is_some() {
-            cluster
-                .networks()
-                .iter()
-                .map(sma_models::Network::gemm_shapes)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let reconfig_shard = |shard: usize| -> Option<ReconfigShard> {
-            let policy = config.reconfig?;
-            let executor = cluster.shard_executor(shard);
-            let backend = executor.backend();
-            let rc = backend.as_reconfigurable()?;
-            let cycles: Vec<Vec<u64>> = (0..rc.config_count())
-                .map(|cfg| {
-                    net_shapes
-                        .iter()
-                        .map(|shapes| rc.pinned_cycles(shapes, cfg))
-                        .collect()
-                })
-                .collect();
-            let penalty: Vec<Vec<f64>> = cycles
-                .iter()
-                .map(|row| {
-                    net_shapes
-                        .iter()
-                        .zip(row)
-                        .map(|(shapes, &pinned)| {
-                            let flexible = rc.flexible_cycles(shapes).max(1);
-                            pinned.max(flexible) as f64 / flexible as f64
-                        })
-                        .collect()
-                })
-                .collect();
-            // The initial pin assumes a uniform mix (not counted as a
-            // reconfiguration).
-            let uniform = vec![1u64; net_count];
-            Some(ReconfigShard {
-                window: VecDeque::new(),
-                window_cap: policy.window,
-                every: policy.every as u64,
-                admissions: 0,
-                pinned: best_config(&cycles, &uniform),
-                cycles,
-                penalty,
-            })
-        };
-        let shards: Vec<ShardState> = (0..shard_count)
-            .map(|shard| ShardState {
-                queues: vec![VecDeque::new(); net_count],
+        let shards: Vec<Shard<'a>> = ShardCore::fleet(cluster, policy, config)
+            .into_iter()
+            .map(|core| Shard {
+                core,
                 future_per_net: vec![0; net_count],
                 in_flight: None,
                 epoch: 0,
                 down_until: None,
                 down_since: 0.0,
-                degrade_depth: 0,
-                degrade_factor: 1.0,
-                stall_depth: 0,
-                stall_extra_ms: 0.0,
                 compile_fail_until: f64::NEG_INFINITY,
                 pending_timer: f64::INFINITY,
-                // Batch-1 service times come off the cluster's
-                // pre-compiled plans (bit-identical to a fresh
-                // compile).
-                service_ms: cluster.unit_service_ms()[shard]
-                    .iter()
-                    .enumerate()
-                    .map(|(net, &ms)| ((net, 1), ms))
-                    .collect(),
-                cache: PlanCache::new(config.cache_budget.for_shard(shard)),
-                depth: 0,
-                depth_max: 0,
-                depth_integral_ms: 0.0,
-                depth_last_ms: 0.0,
-                reconfig: reconfig_shard(shard),
-                report: ShardReport {
-                    shard,
-                    platform: cluster.platforms()[shard],
-                    requests: Vec::new(),
-                    batches: Vec::new(),
-                    busy_ms: 0.0,
-                    makespan_ms: 0.0,
-                    plans_compiled: Vec::new(),
-                    cache: PlanCacheStats::default(),
-                    queue_depth_mean: 0.0,
-                    queue_depth_max: 0,
-                    fault: ShardFaultStats::default(),
-                },
             })
             .collect();
         let mut global_future = vec![0usize; net_count];
@@ -841,7 +598,6 @@ impl<'a> Engine<'a> {
             .map(|_| EnergyFrontier::from_cluster(cluster, &EnergyModel::volta()));
         Engine {
             cluster,
-            policy,
             config,
             shards,
             heap: BinaryHeap::new(),
@@ -864,12 +620,7 @@ impl<'a> Engine<'a> {
             scale_stats: ScaleStats::default(),
             frontier,
             mix_counts: vec![0; net_count],
-            reconfig_stats: ReconfigStats::default(),
-            live_queued: vec![0; shard_count],
-            live_in_flight: vec![0; shard_count],
-            live_resident: vec![0; shard_count],
-            live_healthy: vec![true; shard_count],
-            live_degrade: vec![1.0; shard_count],
+            live: ViewGauges::new(shard_count),
         }
     }
 
@@ -897,31 +648,11 @@ impl<'a> Engine<'a> {
         if self.config.admission != Admission::Preplaced {
             return;
         }
-        let shard_count = self.shards.len();
-        let zero_counts = vec![0usize; shard_count];
-        let zero_bytes = vec![0u64; shard_count];
-        let all_up = vec![true; shard_count];
-        let no_degrade = vec![1.0f64; shard_count];
-        let view = ClusterView {
-            platforms: self.cluster.platforms(),
-            unit_service_ms: self.cluster.unit_service_ms(),
-            queued: &zero_counts,
-            in_flight: &zero_counts,
-            resident_plan_bytes: &zero_bytes,
-            healthy: &all_up,
-            degrade: &no_degrade,
-        };
+        let zeroed = ViewGauges::new(self.shards.len());
+        let view = zeroed.view(self.cluster);
         let assigned: Vec<usize> = trace
             .iter()
-            .map(|request| {
-                let shard = placement.assign(request, &view);
-                assert!(
-                    shard < shard_count,
-                    "placement routed request {} to shard {shard} of {shard_count}",
-                    request.id
-                );
-                shard
-            })
+            .map(|request| place(placement, request, &view))
             .collect();
         for (request, &shard) in trace.iter().zip(&assigned) {
             self.shards[shard].future_per_net[request.network] += 1;
@@ -938,23 +669,12 @@ impl<'a> Engine<'a> {
                 "fault plan targets shard {} of {shard_count}",
                 fault.shard
             );
-            let kind = match fault.kind {
-                FaultKind::Crash { recover_ms } => EventKind::Crash { recover_ms },
-                FaultKind::Degrade { factor, window_ms } => {
-                    EventKind::DegradeStart { factor, window_ms }
-                }
-                FaultKind::StallCompile {
-                    extra_ms,
-                    window_ms,
-                } => EventKind::StallStart {
-                    extra_ms,
-                    window_ms,
-                },
-                FaultKind::TransientCompileFail { window_ms } => {
-                    EventKind::CompileFailStart { window_ms }
-                }
-            };
-            self.push_event(fault.at_ms, CLASS_FAULT, fault.shard, kind);
+            self.push_event(
+                fault.at_ms,
+                CLASS_FAULT,
+                fault.shard,
+                EventKind::Fault(fault.kind),
+            );
         }
     }
 
@@ -975,13 +695,6 @@ impl<'a> Engine<'a> {
         state.in_flight.is_none() && state.down_until.is_none()
     }
 
-    /// Whether `shard`'s cache budget can ever hold `network`'s plan.
-    fn fits(&self, shard: usize, network: usize) -> bool {
-        self.config
-            .cache_budget
-            .admits(shard, self.cluster.unit_plan_bytes()[shard][network])
-    }
-
     /// Whether the autoscaler lets a shard take *new* placements
     /// (always true for the static fleet; draining and parked shards
     /// decline).
@@ -991,86 +704,40 @@ impl<'a> Engine<'a> {
 
     /// Cluster-wide outstanding requests (queued + in flight).
     fn backlog(&self) -> usize {
-        self.shards.iter().map(ShardState::outstanding).sum()
+        self.shards.iter().map(Shard::outstanding).sum()
     }
 
     /// Rebuilds the live-view scratch buffers from shard state.
     fn refresh_live(&mut self) {
         for (shard, state) in self.shards.iter().enumerate() {
-            self.live_queued[shard] = state.depth;
-            self.live_in_flight[shard] = state.in_flight_len();
-            self.live_resident[shard] = state.cache.resident_bytes;
+            self.live.queued[shard] = state.core.queued();
+            self.live.in_flight[shard] = state.in_flight_len();
+            self.live.resident[shard] = state.core.resident_bytes();
             // Draining/parked shards read as unhealthy so
             // health-aware placements steer around them; the static
             // fleet (scale off) leaves this the pure crash gauge.
-            self.live_healthy[shard] =
+            self.live.healthy[shard] =
                 state.down_until.is_none() && self.active[shard] && !self.draining[shard];
-            self.live_degrade[shard] = if state.degrade_depth > 0 {
-                state.degrade_factor
-            } else {
-                1.0
-            };
+            self.live.degrade[shard] = state.core.degrade();
         }
     }
 
-    /// The live view over the scratch buffers ([`Engine::refresh_live`]
-    /// first).
-    fn live_view(&self) -> ClusterView<'_> {
-        ClusterView {
-            platforms: self.cluster.platforms(),
-            unit_service_ms: self.cluster.unit_service_ms(),
-            queued: &self.live_queued,
-            in_flight: &self.live_in_flight,
-            resident_plan_bytes: &self.live_resident,
-            healthy: &self.live_healthy,
-            degrade: &self.live_degrade,
-        }
-    }
-
-    /// Enqueues one request on a shard. Without preemption this is the
-    /// historical FIFO push; with preemption on, queues hold strict
-    /// class order (stable FIFO within a class), so the dispatch head
-    /// is always the most urgent admitted work.
-    fn enqueue(&mut self, shard: usize, request: Request, now_ms: f64) {
-        let strict = self.config.preempt.is_some();
-        let state = &mut self.shards[shard];
-        state.note_depth(now_ms, state.depth + 1);
-        let queue = &mut state.queues[request.network];
-        if strict {
-            let pos = queue
-                .iter()
-                .take_while(|r| r.class <= request.class)
-                .count();
-            queue.insert(pos, request);
-        } else {
-            queue.push_back(request);
-        }
-    }
-
-    /// Re-places a request online: the placement's choice if it fits
-    /// and accepts, else the first fitting shard the autoscaler still
-    /// lets accept, else any fitting shard (scaling never causes a
-    /// rejection), else `None` (admission rejects).
+    /// Places a request online against the live view ([`admit_online`]
+    /// with the autoscaler's accepting set).
     fn replace_online(
         &mut self,
         placement: &mut dyn Placement,
         request: &Request,
     ) -> Option<usize> {
-        let shard_count = self.shards.len();
         self.refresh_live();
-        let chosen = placement.assign(request, &self.live_view());
-        assert!(
-            chosen < shard_count,
-            "placement routed request {} to shard {chosen} of {shard_count}",
-            request.id
-        );
-        if self.fits(chosen, request.network) && self.accepting(chosen) {
-            Some(chosen)
-        } else {
-            (0..shard_count)
-                .find(|&shard| self.fits(shard, request.network) && self.accepting(shard))
-                .or_else(|| (0..shard_count).find(|&shard| self.fits(shard, request.network)))
-        }
+        admit_online(
+            self.cluster,
+            &self.config.cache_budget,
+            placement,
+            request,
+            &self.live.view(self.cluster),
+            |shard| self.accepting(shard),
+        )
     }
 
     /// One arrival: shed check, placement/admission, enqueue, hedge
@@ -1115,15 +782,12 @@ impl<'a> Engine<'a> {
             };
             match target {
                 Some(shard) => {
-                    self.enqueue(shard, request, now_ms);
-                    if online {
-                        // The traffic-mix window sees admissions only
-                        // (never retries, hedges or preemption
-                        // re-queues): decisions stay a pure function
-                        // of (trace, placement).
-                        if let Some(rc) = &mut self.shards[shard].reconfig {
-                            rc.observe(request.network, &mut self.reconfig_stats);
-                        }
+                    if !online {
+                        // The legacy shim: no mix window, hedging or
+                        // preemption.
+                        self.shards[shard].core.enqueue(now_ms, request);
+                    } else {
+                        self.shards[shard].core.admit(now_ms, request);
                         if let Some(hedge) = self.config.hedge {
                             self.push_event(
                                 now_ms + hedge.delay_ms,
@@ -1142,16 +806,17 @@ impl<'a> Engine<'a> {
                         // settles first (a batch completing at this
                         // exact instant completes — its Preempt goes
                         // stale).
-                        if let (Some(preempt), Some(batch)) =
+                        if let (Some(preempt), Some(running)) =
                             (self.config.preempt, &self.shards[shard].in_flight)
                         {
-                            let victim_class = batch
+                            let victim_class = running
+                                .batch
                                 .requests
                                 .iter()
                                 .map(|r| r.class)
                                 .fold(u8::MAX, u8::min);
                             if preempt.preempts(request.class, victim_class) {
-                                let epoch = batch.epoch;
+                                let epoch = running.epoch;
                                 self.push_event(
                                     now_ms,
                                     CLASS_PREEMPT,
@@ -1161,9 +826,7 @@ impl<'a> Engine<'a> {
                             }
                         }
                     }
-                    if self.idle_and_up(shard) {
-                        self.attempt_dispatch(shard, now_ms)?;
-                    }
+                    self.attempt_dispatch(shard, now_ms)?;
                 }
                 None => self.rejected.push(request),
             }
@@ -1178,7 +841,8 @@ impl<'a> Engine<'a> {
                 if target == Some(shard) {
                     continue; // already evaluated above
                 }
-                if self.idle_and_up(shard) && !self.shards[shard].queues[request.network].is_empty()
+                if self.idle_and_up(shard)
+                    && !self.shards[shard].core.queue(request.network).is_empty()
                 {
                     self.attempt_dispatch(shard, now_ms)?;
                 }
@@ -1206,65 +870,35 @@ impl<'a> Engine<'a> {
                 if now_ms.to_bits() == state.pending_timer.to_bits() {
                     state.pending_timer = f64::INFINITY;
                 }
-                if self.idle_and_up(shard) {
-                    self.attempt_dispatch(shard, now_ms)
-                } else {
-                    Ok(())
-                }
+                self.attempt_dispatch(shard, now_ms)
             }
-            EventKind::Crash { recover_ms } => {
+            EventKind::Fault(FaultKind::Crash { recover_ms }) => {
                 self.on_crash(shard, now_ms, recover_ms);
                 Ok(())
             }
-            EventKind::Recover => self.on_recover(shard, now_ms),
-            EventKind::DegradeStart { factor, window_ms } => {
-                {
-                    let state = &mut self.shards[shard];
-                    state.degrade_depth += 1;
-                    // Overlapping windows: the most recent factor wins.
-                    state.degrade_factor = factor;
-                }
-                self.push_event(
-                    now_ms + window_ms,
-                    CLASS_FAULT,
-                    shard,
-                    EventKind::DegradeEnd,
-                );
-                Ok(())
-            }
-            EventKind::DegradeEnd => {
-                let state = &mut self.shards[shard];
-                state.degrade_depth = state.degrade_depth.saturating_sub(1);
-                if state.degrade_depth == 0 {
-                    state.degrade_factor = 1.0;
-                }
-                Ok(())
-            }
-            EventKind::StallStart {
-                extra_ms,
-                window_ms,
-            } => {
-                {
-                    let state = &mut self.shards[shard];
-                    state.stall_depth += 1;
-                    state.stall_extra_ms = extra_ms;
-                }
-                self.push_event(now_ms + window_ms, CLASS_FAULT, shard, EventKind::StallEnd);
-                Ok(())
-            }
-            EventKind::StallEnd => {
-                let state = &mut self.shards[shard];
-                state.stall_depth = state.stall_depth.saturating_sub(1);
-                if state.stall_depth == 0 {
-                    state.stall_extra_ms = 0.0;
-                }
-                Ok(())
-            }
-            EventKind::CompileFailStart { window_ms } => {
+            EventKind::Fault(FaultKind::TransientCompileFail { window_ms }) => {
                 let state = &mut self.shards[shard];
                 state.compile_fail_until = state.compile_fail_until.max(now_ms + window_ms);
                 Ok(())
             }
+            EventKind::Fault(
+                window @ (FaultKind::Degrade { window_ms, .. }
+                | FaultKind::StallCompile { window_ms, .. }),
+            ) => {
+                self.shards[shard].core.window_edge(window, true);
+                self.push_event(
+                    now_ms + window_ms,
+                    CLASS_FAULT,
+                    shard,
+                    EventKind::WindowClose(window),
+                );
+                Ok(())
+            }
+            EventKind::WindowClose(window) => {
+                self.shards[shard].core.window_edge(window, false);
+                Ok(())
+            }
+            EventKind::Recover => self.on_recover(shard, now_ms),
             EventKind::Retry {
                 request,
                 from_shard,
@@ -1277,46 +911,25 @@ impl<'a> Engine<'a> {
 
     /// An urgent arrival evicts the running batch (unless the epoch is
     /// stale — the batch completed, or was already evicted, at this
-    /// instant). Unlike a crash abort, the partial work is *billed*:
-    /// the elapsed slice counts as busy time and is reported as
-    /// preempted busy time, so preemption's cost is visible without
-    /// ever double-counting (the victims' eventual completion bills
-    /// its own full batch). Victims re-enter their queue behind more
-    /// urgent work but ahead of their own class peers, preserving
-    /// their mutual order.
+    /// instant). The core bills the partial work and re-queues the
+    /// victims (`ShardCore::evict`).
     fn on_preempt(&mut self, shard: usize, now_ms: f64, epoch: u64) -> Result<(), RuntimeError> {
-        {
-            let state = &mut self.shards[shard];
-            let Some(batch) = state.in_flight.take() else {
-                return Ok(()); // already completed, crashed or evicted
-            };
-            if batch.epoch != epoch {
-                state.in_flight = Some(batch); // stale: a newer batch runs
-                return Ok(());
-            }
-            // A same-instant completion (class 1 < 6) would have fired
-            // first, so the eviction always lands strictly before the
-            // batch's completion: elapsed < compile + service.
-            let elapsed_ms = now_ms - batch.start_ms;
-            state.report.busy_ms += elapsed_ms;
-            state.report.fault.preemptions += 1;
-            state.report.fault.preempted_busy_ms += elapsed_ms;
-            state.report.fault.preempted_requests += batch.requests.len() as u64;
-            let victims = batch.requests;
-            for victim in &victims {
-                self.class_stats[usize::from(victim.class)].preempted += 1;
-                self.preempted_ids.insert(victim.id);
-            }
-            // Reverse insertion at the class boundary keeps the
-            // victims' mutual order while landing them after the
-            // urgent work that displaced them.
-            for victim in victims.iter().rev() {
-                let queue = &mut state.queues[victim.network];
-                let pos = queue.iter().take_while(|r| r.class < victim.class).count();
-                queue.insert(pos, *victim);
-            }
-            state.note_depth(now_ms, state.depth + victims.len());
+        let state = &mut self.shards[shard];
+        let Some(in_flight) = state.in_flight.take() else {
+            return Ok(()); // already completed, crashed or evicted
+        };
+        if in_flight.epoch != epoch {
+            state.in_flight = Some(in_flight); // stale: a newer batch runs
+            return Ok(());
         }
+        // A same-instant completion (class 1 < 6) would have fired
+        // first, so the eviction always lands strictly before the
+        // batch's completion: elapsed < compile + service.
+        for victim in &in_flight.batch.requests {
+            self.class_stats[usize::from(victim.class)].preempted += 1;
+            self.preempted_ids.insert(victim.id);
+        }
+        state.core.evict(now_ms, in_flight.batch);
         self.attempt_dispatch(shard, now_ms)
     }
 
@@ -1373,7 +986,7 @@ impl<'a> Engine<'a> {
                 self.scale_stats.scale_ups += 1;
                 self.up_streak = 0;
                 self.down_streak = 0;
-                if self.shards[shard].depth > 0 && self.idle_and_up(shard) {
+                if self.shards[shard].core.queued() > 0 && self.idle_and_up(shard) {
                     self.attempt_dispatch(shard, now_ms)?;
                 }
             }
@@ -1418,47 +1031,31 @@ impl<'a> Engine<'a> {
     fn on_complete(&mut self, shard: usize, now_ms: f64, epoch: u64) -> Result<(), RuntimeError> {
         let track = self.track_ids();
         let mut newly_served: Vec<u64> = Vec::new();
-        {
-            let state = &mut self.shards[shard];
-            let Some(batch) = state.in_flight.take() else {
-                return Ok(()); // aborted by a crash, shard idle since
-            };
-            if batch.epoch != epoch {
-                state.in_flight = Some(batch); // stale event, newer batch running
-                return Ok(());
-            }
-            let size = batch.requests.len();
-            state.report.batches.push(BatchRecord {
-                network: batch.network,
-                size,
-                start_ms: batch.start_ms,
-                service_ms: batch.service_ms,
-                compile_ms: batch.compile_ms,
-            });
-            for request in &batch.requests {
+        let state = &mut self.shards[shard];
+        let Some(in_flight) = state.in_flight.take() else {
+            return Ok(()); // aborted by a crash, shard idle since
+        };
+        if in_flight.epoch != epoch {
+            state.in_flight = Some(in_flight); // stale event, newer batch running
+            return Ok(());
+        }
+        let (served, failed_ids) = (&mut self.served, &mut self.failed_ids);
+        state
+            .core
+            .complete(&in_flight.batch, now_ms, now_ms, |request| {
                 if track {
-                    if !self.served.insert(request.id) {
+                    if !served.insert(request.id) {
                         // A hedge twin already won: this completion is
-                        // billed (busy time above) but not served.
-                        continue;
+                        // billed but not served.
+                        return false;
                     }
                     newly_served.push(request.id);
-                    self.failed_ids.remove(&request.id);
+                    failed_ids.remove(&request.id);
                 }
-                state.report.requests.push(ServedRequest {
-                    id: request.id,
-                    network: request.network,
-                    arrival_ms: request.arrival_ms,
-                    deadline_ms: request.deadline_ms,
-                    class: request.class,
-                    start_ms: batch.start_ms,
-                    completion_ms: now_ms,
-                    batch_size: size,
-                });
-            }
-            state.report.busy_ms += batch.compile_ms + batch.service_ms;
-            state.report.makespan_ms = now_ms;
-        }
+                true
+            });
+        // Free the finished batch before the next one allocates.
+        drop(in_flight);
         // First completion wins: queued hedge twins of the ids just
         // served are cancelled cluster-wide.
         if self.config.hedge.is_some() && !newly_served.is_empty() {
@@ -1470,15 +1067,7 @@ impl<'a> Engine<'a> {
     /// Removes queued twins of just-served ids from every queue.
     fn cancel_queued(&mut self, ids: &[u64], now_ms: f64) {
         for state in &mut self.shards {
-            let mut removed = 0usize;
-            for queue in &mut state.queues {
-                let before = queue.len();
-                queue.retain(|r| !ids.contains(&r.id));
-                removed += before - queue.len();
-            }
-            if removed > 0 {
-                state.note_depth(now_ms, state.depth - removed);
-            }
+            state.core.cancel(now_ms, ids);
         }
     }
 
@@ -1488,7 +1077,7 @@ impl<'a> Engine<'a> {
         let until = now_ms + recover_ms;
         let schedule_recover = {
             let state = &mut self.shards[shard];
-            state.report.fault.crashes += 1;
+            state.core.fault_mut().crashes += 1;
             match state.down_until {
                 None => {
                     state.down_since = now_ms;
@@ -1507,11 +1096,11 @@ impl<'a> Engine<'a> {
         if schedule_recover {
             self.push_event(until, CLASS_FAULT, shard, EventKind::Recover);
         }
-        if let Some(batch) = self.shards[shard].in_flight.take() {
-            self.shards[shard].report.fault.aborted_batches += 1;
+        if let Some(in_flight) = self.shards[shard].in_flight.take() {
+            self.shards[shard].core.fault_mut().aborted_batches += 1;
             // Aborted work is lost: not billed as busy time, no batch
             // or request records. The victims follow the retry policy.
-            for request in batch.requests {
+            for request in in_flight.batch.requests {
                 self.retry_or_fail(request, now_ms, shard);
             }
         }
@@ -1526,7 +1115,7 @@ impl<'a> Engine<'a> {
                 return Ok(()); // stale: a later crash extended the outage
             }
             state.down_until = None;
-            state.report.fault.downtime_ms += now_ms - state.down_since;
+            state.core.fault_mut().downtime_ms += now_ms - state.down_since;
         }
         self.attempt_dispatch(shard, now_ms)
     }
@@ -1549,7 +1138,7 @@ impl<'a> Engine<'a> {
         }
         self.attempts.insert(request.id, retries_so_far + 1);
         self.class_stats[usize::from(request.class)].retries += 1;
-        self.shards[from_shard].report.fault.retries += 1;
+        self.shards[from_shard].core.fault_mut().retries += 1;
         self.push_event(
             fire_ms,
             CLASS_RETRY,
@@ -1586,14 +1175,10 @@ impl<'a> Engine<'a> {
         };
         if target != from_shard {
             self.class_stats[usize::from(request.class)].failovers += 1;
-            self.shards[target].report.fault.failovers += 1;
+            self.shards[target].core.fault_mut().failovers += 1;
         }
-        self.enqueue(target, request, now_ms);
-        if self.idle_and_up(target) {
-            self.attempt_dispatch(target, now_ms)
-        } else {
-            Ok(())
-        }
+        self.shards[target].core.enqueue(now_ms, request);
+        self.attempt_dispatch(target, now_ms)
     }
 
     /// A hedge delay expired with the request still incomplete:
@@ -1614,83 +1199,50 @@ impl<'a> Engine<'a> {
                 s != origin
                     && self.shards[s].down_until.is_none()
                     && self.accepting(s)
-                    && self.fits(s, net)
+                    && self.config.cache_budget.fits(self.cluster, s, net)
             })
             .min_by(|&a, &b| costs[a][net].total_cmp(&costs[b][net]).then(a.cmp(&b)));
         let Some(target) = target else {
             return Ok(()); // nowhere to hedge to; the original stands
         };
         self.class_stats[usize::from(request.class)].hedges += 1;
-        self.shards[target].report.fault.hedges += 1;
-        self.enqueue(target, request, now_ms);
-        if self.idle_and_up(target) {
-            self.attempt_dispatch(target, now_ms)
-        } else {
-            Ok(())
-        }
+        self.shards[target].core.fault_mut().hedges += 1;
+        self.shards[target].core.enqueue(now_ms, request);
+        self.attempt_dispatch(target, now_ms)
     }
 
-    /// Evaluates every non-empty queue of an idle, healthy shard at
-    /// `now_ms` and either launches the most urgent ready batch or
-    /// schedules the earliest batch-close timer. The decision rule
-    /// matches the pre-engine drain exactly: ready queues race on
-    /// [`BatchPolicy::urgency`] (default: head arrival — FIFO across
-    /// networks), ties to the lowest network index. During a transient
-    /// compile-failure window, ready batches whose plan is not
-    /// resident are blocked and the next-best resident-plan batch
-    /// launches instead (or the shard wakes when the window closes).
+    /// Asks an idle, healthy shard's core for its ready batches at
+    /// `now_ms` and either launches the best one or schedules the
+    /// earliest batch-close timer. During a transient compile-failure
+    /// window, ready batches whose plan is not resident are blocked and
+    /// the next-best resident-plan batch launches instead (or the shard
+    /// wakes when the window closes).
     fn attempt_dispatch(&mut self, shard: usize, now_ms: f64) -> Result<(), RuntimeError> {
         if !self.idle_and_up(shard) {
             return Ok(());
         }
-        // (head class, urgency, net, take) — the class key is 0 for
-        // every queue unless preemption (strict priorities) is on, so
-        // the sort below degenerates to the historical (urgency, net)
-        // rule byte for byte.
-        let strict = self.config.preempt.is_some();
-        let mut ready: Vec<(u8, f64, usize, usize)> = Vec::new();
-        let mut wake_ms = f64::INFINITY;
+        let global_future = &self.global_future;
+        let preplaced = self.preassigned.is_some();
+        let state = &mut self.shards[shard];
+        let future_per_net = &state.future_per_net;
+        let (ready, mut wake_ms) = state.core.select(now_ms, |net| {
+            if preplaced {
+                future_per_net[net] > 0
+            } else {
+                global_future[net] > 0
+            }
+        });
+        let fail_active = now_ms < state.compile_fail_until;
+        if let Some(launch) = ready
+            .iter()
+            .find(|r| !fail_active || state.core.has_plan(&(r.net, r.take)))
         {
-            let state = &mut self.shards[shard];
-            for net in 0..state.queues.len() {
-                if state.queues[net].is_empty() {
-                    continue;
-                }
-                let more_arrivals = match &self.preassigned {
-                    Some(_) => state.future_per_net[net] > 0,
-                    None => self.global_future[net] > 0,
-                };
-                // O(1) when the ring has not wrapped since the last
-                // front drain; policies see a plain FIFO slice.
-                let contiguous: &[Request] = state.queues[net].make_contiguous();
-                match self.policy.decide(contiguous, now_ms, more_arrivals) {
-                    PolicyDecision::Dispatch { take } => {
-                        let take = take.clamp(1, contiguous.len());
-                        let urgency = self.policy.urgency(contiguous, now_ms);
-                        let class = if strict { contiguous[0].class } else { 0 };
-                        ready.push((class, urgency, net, take));
-                    }
-                    PolicyDecision::WaitUntil(at) => wake_ms = wake_ms.min(at),
-                    PolicyDecision::WaitForArrivals => {}
-                }
-            }
+            return self.dispatch(shard, now_ms, launch.net, launch.take);
         }
-        // Strict class order first (preemption only), then most urgent
-        // first; stable sort keeps the lowest network index on ties —
-        // the pre-engine drain's rule.
-        ready.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let fail_active = now_ms < self.shards[shard].compile_fail_until;
-        let mut blocked = false;
-        for &(_, _, net, take) in &ready {
-            if fail_active && !self.shards[shard].cache.contains(&(net, take)) {
-                blocked = true; // compile would fail; try the next queue
-                continue;
-            }
-            return self.dispatch(shard, now_ms, net, take);
-        }
-        if blocked {
-            self.shards[shard].report.fault.compile_failures += 1;
-            wake_ms = wake_ms.min(self.shards[shard].compile_fail_until);
+        if !ready.is_empty() {
+            // Every ready batch needed a compile that would fail.
+            state.core.fault_mut().compile_failures += 1;
+            wake_ms = wake_ms.min(state.compile_fail_until);
         }
         if wake_ms.is_finite() {
             // A batch-close event: without it, a queue whose deadline
@@ -1700,17 +1252,16 @@ impl<'a> Engine<'a> {
                 wake_ms > now_ms,
                 "shard {shard} stalled at {now_ms} ms (policy asked to wait for the past)"
             );
-            if wake_ms < self.shards[shard].pending_timer {
-                self.shards[shard].pending_timer = wake_ms;
+            if wake_ms < state.pending_timer {
+                state.pending_timer = wake_ms;
                 self.push_event(wake_ms, CLASS_TIMER, shard, EventKind::Timer);
             }
         }
         Ok(())
     }
 
-    /// Launches one batch: memoized service time (first touch compiles
-    /// through the executor), degrade multiplier, compile-on-miss
-    /// charge (plus any stall surcharge), and the completion event.
+    /// Launches one batch through the shard's core and schedules its
+    /// completion event.
     fn dispatch(
         &mut self,
         shard: usize,
@@ -1718,63 +1269,12 @@ impl<'a> Engine<'a> {
         net: usize,
         take: usize,
     ) -> Result<(), RuntimeError> {
-        let cluster = self.cluster;
         let state = &mut self.shards[shard];
-        let service_base = match state.service_ms.entry((net, take)) {
-            std::collections::btree_map::Entry::Occupied(hit) => *hit.get(),
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                let plan = cluster
-                    .shard_executor(shard)
-                    .with_batch(take)
-                    .try_plan(&cluster.networks()[net])?;
-                state.report.plans_compiled.push((net, take));
-                *slot.insert(plan.run().total_ms)
-            }
-        };
-        // FlexSA-style reduced mode: inside a degrade window the batch
-        // runs slower by the live factor. (Guarded so the fault-free
-        // path performs the exact same float ops as before.)
-        let degraded = state.degrade_depth > 0;
-        let mut service_ms = if degraded {
-            service_base * state.degrade_factor
-        } else {
-            service_base
-        };
-        // Serve-time reconfiguration: the pinned fabric configuration
-        // pays its latency penalty relative to per-shape-best. (Also
-        // guarded — `None` performs no float ops at all.)
-        if let Some(rc) = &state.reconfig {
-            service_ms *= rc.penalty[rc.pinned][net];
-        }
-        // Simulated plan residency: a miss bills the compile before
-        // the batch starts (0 under the legacy shim's free compiles);
-        // an active stall window adds its surcharge per miss.
-        let mut compile_charge =
-            self.config.compile_ms_per_layer * cluster.unit_plan(shard, net).layer_count() as f64;
-        if state.stall_depth > 0 {
-            compile_charge += state.stall_extra_ms;
-        }
-        let compile_ms = state.cache.access(
-            (net, take),
-            cluster.unit_plan_bytes()[shard][net],
-            compile_charge,
-        );
-        let completion_ms = now_ms + compile_ms + service_ms;
-        let requests: Vec<Request> = state.queues[net].drain(..take).collect();
-        state.note_depth(now_ms, state.depth - take);
+        let batch = state.core.launch(now_ms, net, take)?;
+        let completion_ms = now_ms + batch.compile_ms + batch.service_ms;
         state.epoch += 1;
         let epoch = state.epoch;
-        if degraded {
-            state.report.fault.degraded_batches += 1;
-        }
-        state.in_flight = Some(InFlightBatch {
-            network: net,
-            start_ms: now_ms,
-            compile_ms,
-            service_ms,
-            epoch,
-            requests,
-        });
+        state.in_flight = Some(InFlightBatch { batch, epoch });
         self.push_event(
             completion_ms,
             CLASS_COMPLETE,
@@ -1784,40 +1284,22 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Closes the run: depth integrals, cache stats, the drain assert,
-    /// and the exact-partition cleanup of the failed bucket.
+    /// Closes the run: the drain asserts, every shard's books, and the
+    /// exact-partition cleanup of the failed bucket.
     fn finish(mut self) -> ServeRun {
-        // The cluster-wide horizon closes every shard's depth
-        // integral.
-        let makespan_ms = self
-            .shards
-            .iter()
-            .map(|state| state.report.makespan_ms)
-            .fold(0.0_f64, f64::max);
-        let reports: Vec<ShardReport> = self
+        let cores = self
             .shards
             .into_iter()
             .enumerate()
-            .map(|(shard, mut state)| {
-                assert!(
-                    state.queues.iter().all(VecDeque::is_empty),
-                    "shard {shard} stalled with queued requests (policy never became ready)"
-                );
+            .map(|(shard, state)| {
                 assert!(
                     state.in_flight.is_none(),
                     "shard {shard} finished with a batch still in flight"
                 );
-                state.note_depth(state.depth_last_ms.max(makespan_ms), 0);
-                state.report.queue_depth_mean = if makespan_ms > 0.0 {
-                    state.depth_integral_ms / makespan_ms
-                } else {
-                    0.0
-                };
-                state.report.queue_depth_max = state.depth_max;
-                state.report.cache = state.cache.into_stats();
-                state.report
+                state.core
             })
             .collect();
+        let (reports, reconfig) = close_fleet(cores);
         // A request that failed its retries but whose hedge twin later
         // completed anyway is served, not failed — keep the four
         // buckets an exact partition of the trace.
@@ -1834,7 +1316,7 @@ impl<'a> Engine<'a> {
             class_stats: self.class_stats,
             preempted: self.preempted_ids.into_iter().collect(),
             scale: self.scale_stats,
-            reconfig: self.reconfig_stats,
+            reconfig,
         }
     }
 }
@@ -1846,61 +1328,6 @@ mod tests {
     #![allow(clippy::float_cmp)]
 
     use super::*;
-
-    #[test]
-    fn plan_cache_lru_evicts_the_coldest_plan() {
-        let mut cache = PlanCache::new(Some(100));
-        assert_eq!(cache.access((0, 1), 40, 2.0), 2.0, "cold miss bills");
-        assert_eq!(cache.access((1, 1), 40, 2.0), 2.0);
-        assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "hit is free");
-        // Admitting a third 40B plan exceeds 100B: the LRU victim is
-        // (1,1) — (0,1) was touched more recently.
-        assert_eq!(cache.access((2, 1), 40, 2.0), 2.0);
-        assert_eq!(cache.access((0, 1), 40, 2.0), 0.0, "(0,1) survived");
-        assert_eq!(cache.access((1, 1), 40, 2.0), 2.0, "(1,1) was evicted");
-        let stats = cache.into_stats();
-        assert_eq!(stats.hits + stats.misses, stats.lookups);
-        assert_eq!(stats.evictions, 2);
-        assert!(stats.peak_bytes <= 100);
-        assert_eq!(stats.resident_bytes, 80);
-    }
-
-    #[test]
-    fn plan_cache_unbounded_never_evicts() {
-        let mut cache = PlanCache::new(None);
-        for net in 0..50 {
-            assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 1.0);
-            assert_eq!(cache.access((net, 1), 1 << 20, 1.0), 0.0);
-        }
-        let stats = cache.into_stats();
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.misses, 50);
-        assert_eq!(stats.hits, 50);
-        assert_eq!(stats.resident_bytes, 50 << 20);
-    }
-
-    #[test]
-    fn plan_cache_contains_peeks_without_billing() {
-        let mut cache = PlanCache::new(Some(100));
-        assert!(!cache.contains(&(0, 1)));
-        cache.access((0, 1), 40, 2.0);
-        assert!(cache.contains(&(0, 1)));
-        let stats = cache.into_stats();
-        assert_eq!(stats.lookups, 1, "contains() is not a lookup");
-    }
-
-    #[test]
-    fn oversized_plan_empties_the_cache_but_still_runs() {
-        let mut cache = PlanCache::new(Some(64));
-        cache.access((0, 1), 30, 1.0);
-        cache.access((1, 1), 30, 1.0);
-        // 100 > 64: everything is evicted, the plan is admitted anyway
-        // (admission control keeps this out of online runs).
-        assert_eq!(cache.access((2, 1), 100, 1.0), 1.0);
-        let stats = cache.into_stats();
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.resident_bytes, 100);
-    }
 
     #[test]
     fn cache_budget_admission() {
@@ -1951,19 +1378,5 @@ mod tests {
             "completions before timers before faults before retries before \
              hedges before preemptions before scale ticks"
         );
-    }
-
-    #[test]
-    fn best_config_minimises_weighted_cycles_with_low_index_ties() {
-        // config 0 wins net 0, config 1 wins net 1.
-        let cycles = vec![vec![10, 100], vec![50, 20]];
-        assert_eq!(best_config(&cycles, &[1, 0]), 0);
-        assert_eq!(best_config(&cycles, &[0, 1]), 1);
-        // 3×10 + 1×100 = 130 vs 3×50 + 1×20 = 170.
-        assert_eq!(best_config(&cycles, &[3, 1]), 0);
-        // Exact tie: lowest index wins.
-        assert_eq!(best_config(&[vec![5], vec![5]], &[7]), 0);
-        // Empty window: everything is zero cost — lowest index.
-        assert_eq!(best_config(&cycles, &[0, 0]), 0);
     }
 }

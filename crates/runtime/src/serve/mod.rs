@@ -41,10 +41,11 @@
 //!   path.
 //! * **A threaded live twin** ([`LiveServer`]): the same cluster,
 //!   policy and placement run as real threads fed over MPSC queues,
-//!   paced onto wall-clock time; every run records its realized
-//!   arrival trace, and [`replay`] + [`discrete_outcomes`] check the
-//!   live run against the discrete-event engine as an oracle (see
-//!   `docs/LIVE_SERVING.md`).
+//!   paced onto wall-clock time, each worker driving the same
+//!   per-shard state machine the engine drives; every run records its
+//!   realized arrival trace, and [`replay`] + [`discrete_outcomes`]
+//!   check the live run against the discrete-event engine as an
+//!   oracle (see `docs/LIVE_SERVING.md`).
 //!
 //! ```
 //! use sma_models::zoo;
@@ -86,6 +87,7 @@ mod oracle;
 mod placement;
 mod policy;
 mod scale;
+mod shard;
 mod slo;
 mod transport;
 
@@ -173,7 +175,7 @@ pub struct BatchRecord {
 }
 
 /// Everything one shard did during the run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -302,6 +304,25 @@ impl ServeCluster {
         &self.platforms
     }
 
+    /// Rejects, loudly, a trace this cluster cannot serve: one out of
+    /// arrival order (the event queue merges it as a sorted stream and
+    /// the backlog-aware placements assume arrival order, so it would
+    /// silently skew every latency) or one naming an unknown network.
+    fn check_trace(&self, trace: &[Request]) {
+        assert!(
+            trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
+            "trace must be sorted by arrival_ms"
+        );
+        for request in trace {
+            assert!(
+                request.network < self.networks.len(),
+                "request {} targets unknown network {}",
+                request.id,
+                request.network
+            );
+        }
+    }
+
     /// The pre-compiled batch-1 plan a shard holds for a network.
     #[must_use]
     pub fn unit_plan(&self, shard: usize, network: usize) -> &NetworkPlan {
@@ -366,21 +387,7 @@ impl ServeSim {
         trace: &[Request],
         config: EngineConfig,
     ) -> Self {
-        // The event queue merges the trace as a sorted stream and the
-        // backlog-aware placements assume arrival order; an unsorted
-        // trace would silently skew every latency, so reject it loudly.
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-            "trace must be sorted by arrival_ms"
-        );
-        for request in trace {
-            assert!(
-                request.network < cluster.networks().len(),
-                "request {} targets unknown network {}",
-                request.id,
-                request.network
-            );
-        }
+        cluster.check_trace(trace);
         ServeSim {
             cluster,
             policy,

@@ -9,7 +9,10 @@
 //! * which requests were served, and on which shard;
 //! * which were rejected by admission control;
 //! * the per-(shard, network) batch partition — the size sequence in
-//!   launch order.
+//!   launch order;
+//! * the plans each shard compiled on top of the cluster's batch-1 set,
+//!   and the run's reconfiguration counters — both pure functions of
+//!   per-shard admission order and batch partition.
 //!
 //! This module extracts those outcomes into a timing-free,
 //! order-canonical shape ([`DiscreteOutcomes`]) and diffs two of them
@@ -38,6 +41,7 @@ use super::engine::{EngineConfig, ServeRun};
 use super::load::Request;
 use super::placement::Placement;
 use super::policy::BatchPolicy;
+use super::scale::ReconfigStats;
 use super::{ServeCluster, ServeSim};
 use crate::backend::RuntimeError;
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,6 +67,11 @@ pub struct DiscreteOutcomes {
     /// Order-independent — and therefore pinnable — under an unbounded
     /// budget; see the module docs.
     pub cache_counters: Vec<(u64, u64, u64, u64)>,
+    /// `(network, batch)` plans each shard compiled on top of the
+    /// pre-seeded batch-1 set, sorted, in shard order.
+    pub plans_compiled: Vec<BTreeSet<(usize, usize)>>,
+    /// Traffic-mix reconfiguration counters of the whole run.
+    pub reconfig: ReconfigStats,
 }
 
 impl DiscreteOutcomes {
@@ -112,6 +121,12 @@ pub fn discrete_outcomes(run: &ServeRun) -> DiscreteOutcomes {
                 )
             })
             .collect(),
+        plans_compiled: run
+            .reports
+            .iter()
+            .map(|r| r.plans_compiled.iter().copied().collect())
+            .collect(),
+        reconfig: run.reconfig,
     }
 }
 
@@ -208,6 +223,18 @@ pub fn diff_outcomes(a: &DiscreteOutcomes, b: &DiscreteOutcomes) -> Vec<String> 
             a.cache_counters, b.cache_counters
         ));
     }
+    if a.plans_compiled != b.plans_compiled {
+        diffs.push(format!(
+            "compiled plans differ: {:?} vs {:?}",
+            a.plans_compiled, b.plans_compiled
+        ));
+    }
+    if a.reconfig != b.reconfig {
+        diffs.push(format!(
+            "reconfiguration counters differ: {:?} vs {:?}",
+            a.reconfig, b.reconfig
+        ));
+    }
     diffs
 }
 
@@ -288,6 +315,41 @@ mod tests {
         assert!(!diffs.is_empty());
         assert!(
             diffs.iter().any(|d| d.contains("served sets differ")),
+            "{diffs:?}"
+        );
+    }
+
+    #[test]
+    fn diff_reports_compiled_plans_and_reconfig_counters() {
+        let cluster = cluster();
+        let policy: Arc<dyn BatchPolicy> = Arc::new(SizeK::new(4));
+        let trace = LoadGenerator::new(3, 2.0).trace(40, 2);
+        let run = replay(
+            &cluster,
+            &policy,
+            &trace,
+            &EngineConfig::default(),
+            &mut RoundRobin::default(),
+        )
+        .unwrap();
+        let a = discrete_outcomes(&run);
+        assert!(
+            a.plans_compiled.iter().any(|plans| plans.contains(&(0, 4))),
+            "size-4 batches compile beyond the batch-1 set: {:?}",
+            a.plans_compiled
+        );
+        let mut b = a.clone();
+        b.plans_compiled[0].insert((0, 1));
+        b.reconfig.evaluations += 1;
+        let diffs = diff_outcomes(&a, &b);
+        assert!(
+            diffs.iter().any(|d| d.contains("compiled plans differ")),
+            "{diffs:?}"
+        );
+        assert!(
+            diffs
+                .iter()
+                .any(|d| d.contains("reconfiguration counters differ")),
             "{diffs:?}"
         );
     }

@@ -11,6 +11,7 @@
 //! sequential admission pass exposed.)
 
 use super::load::Request;
+use super::ServeCluster;
 
 /// What a placement strategy may inspect: the cluster's shard table,
 /// the frozen batch-1 cost matrix, and the live per-shard state at the
@@ -63,6 +64,64 @@ impl ClusterView<'_> {
     pub fn healthy_shards(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.shard_count()).filter(|&s| self.healthy[s])
     }
+}
+
+/// The owned per-shard gauges behind a [`ClusterView`]: a driver
+/// rewrites them before each placement call and lends them out with
+/// [`ViewGauges::view`]. Fresh gauges read as an idle, healthy,
+/// undegraded cluster.
+pub(super) struct ViewGauges {
+    pub(super) queued: Vec<usize>,
+    pub(super) in_flight: Vec<usize>,
+    pub(super) resident: Vec<u64>,
+    pub(super) healthy: Vec<bool>,
+    pub(super) degrade: Vec<f64>,
+}
+
+impl ViewGauges {
+    pub(super) fn new(shard_count: usize) -> Self {
+        ViewGauges {
+            queued: vec![0; shard_count],
+            in_flight: vec![0; shard_count],
+            resident: vec![0; shard_count],
+            healthy: vec![true; shard_count],
+            degrade: vec![1.0; shard_count],
+        }
+    }
+
+    /// The view a placement sees: `cluster`'s frozen tables plus these
+    /// gauges.
+    pub(super) fn view<'a>(&'a self, cluster: &'a ServeCluster) -> ClusterView<'a> {
+        ClusterView {
+            platforms: cluster.platforms(),
+            unit_service_ms: cluster.unit_service_ms(),
+            queued: &self.queued,
+            in_flight: &self.in_flight,
+            resident_plan_bytes: &self.resident,
+            healthy: &self.healthy,
+            degrade: &self.degrade,
+        }
+    }
+}
+
+/// Asks `placement` for `request`'s shard.
+///
+/// # Panics
+///
+/// Panics if the placement routes outside the view's shard table.
+pub(super) fn place(
+    placement: &mut dyn Placement,
+    request: &Request,
+    view: &ClusterView<'_>,
+) -> usize {
+    let shard = placement.assign(request, view);
+    assert!(
+        shard < view.shard_count(),
+        "placement routed request {} to shard {shard} of {}",
+        request.id,
+        view.shard_count()
+    );
+    shard
 }
 
 /// Assigns every request to a shard.
