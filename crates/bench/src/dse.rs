@@ -21,11 +21,12 @@
 //!    × network (35 families) and instantiates each at every batch
 //!    point straight into one shared bump [`PlanArena`] (350 plans,
 //!    only the GEMM steps re-estimated per batch).
-//! 2. [`DseCompiled::row`] is then a pure function: it replays the two
-//!    candidate arena plans (lock-free aggregation over `&[PlannedStep]`)
-//!    and folds the budget axis over precomputed per-layer weight
-//!    footprints — no planning, no locking, no allocation beyond the
-//!    profile itself.
+//! 2. [`DseCompiled::row`] is then a pure function: it sums the step
+//!    times of the two candidate arena plans
+//!    ([`PlanArena::total_ms`], bit-identical to a full replay's
+//!    `total_ms` but without building a profile) and folds the budget
+//!    axis over precomputed per-layer weight footprints — no planning,
+//!    no locking, no profile.
 //!
 //! The budget axis is descriptive, not predictive: a GEMM layer is
 //! *resident* when its full weight panel (`k × n` at f16) fits the
@@ -329,52 +330,135 @@ impl DseRow {
     /// Renders the row as one JSON object (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn outcome(out: &mut String, key: &str, o: &DseOutcome) {
-            let _ = write!(out, "\"{key}\": {{\"backend\": \"{}\", ", o.name);
-            match &o.total_ms {
-                Ok(ms) => {
-                    let _ = write!(out, "\"total_ms\": {ms:.6}, ");
-                }
-                Err(reason) => {
-                    let _ = write!(
-                        out,
-                        "\"rejected\": \"{}\", ",
-                        crate::sweep::escape_json(reason)
-                    );
-                }
-            }
-            let _ = write!(
-                out,
-                "\"resident_gemms\": {}, \"gemms\": {}, \"fits\": {}, \"ai_f16\": {:.3}}}",
-                o.resident_gemms,
-                o.gemms,
-                o.fits(),
-                o.intensity_f16
-            );
-        }
-
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"i\": {}, \"span\": {}, \"mode\": \"{}\", \"batch\": {}, \"budget_kib\": {}, \"network\": \"{}\", ",
-            self.index,
-            self.point.span.span(),
-            mode_label(self.point.mode),
-            self.point.batch,
-            self.point.budget_kib,
-            crate::sweep::escape_json(&self.network),
-        );
-        outcome(&mut out, "arrayflex", &self.arrayflex);
-        out.push_str(", ");
-        outcome(&mut out, "flexsa", &self.flexsa);
-        let _ = write!(
-            out,
-            ", \"winner\": \"{}\", \"throughput_ips\": {:.3}}}",
-            self.winner().map_or("none", |w| w.name),
-            self.throughput_ips()
-        );
+        let mut out = String::with_capacity(ROW_CAPACITY);
+        self.write_json(&mut out);
         out
     }
+
+    /// Appends [`DseRow::to_json`]'s bytes to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        fn outcome(out: &mut String, key: &str, o: &DseOutcome) {
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\": {\"backend\": \"");
+            out.push_str(o.name);
+            out.push_str("\", ");
+            match &o.total_ms {
+                Ok(ms) => {
+                    out.push_str("\"total_ms\": ");
+                    push_fixed(out, *ms, 6);
+                    out.push_str(", ");
+                }
+                Err(reason) => {
+                    out.push_str("\"rejected\": \"");
+                    out.push_str(&crate::sweep::escape_json(reason));
+                    out.push_str("\", ");
+                }
+            }
+            out.push_str("\"resident_gemms\": ");
+            push_uint(out, o.resident_gemms as u64);
+            out.push_str(", \"gemms\": ");
+            push_uint(out, o.gemms as u64);
+            out.push_str(", \"fits\": ");
+            out.push_str(if o.fits() { "true" } else { "false" });
+            out.push_str(", \"ai_f16\": ");
+            push_fixed(out, o.intensity_f16, 3);
+            out.push('}');
+        }
+
+        out.push_str("{\"i\": ");
+        push_uint(out, self.index as u64);
+        out.push_str(", \"span\": ");
+        push_uint(out, self.point.span.span() as u64);
+        out.push_str(", \"mode\": \"");
+        out.push_str(mode_label(self.point.mode));
+        out.push_str("\", \"batch\": ");
+        push_uint(out, self.point.batch as u64);
+        out.push_str(", \"budget_kib\": ");
+        push_uint(out, self.point.budget_kib);
+        out.push_str(", \"network\": \"");
+        out.push_str(&crate::sweep::escape_json(&self.network));
+        out.push_str("\", ");
+        outcome(out, "arrayflex", &self.arrayflex);
+        out.push_str(", ");
+        outcome(out, "flexsa", &self.flexsa);
+        out.push_str(", \"winner\": \"");
+        out.push_str(self.winner().map_or("none", |w| w.name));
+        out.push_str("\", \"throughput_ips\": ");
+        push_fixed(out, self.throughput_ips(), 3);
+        out.push('}');
+    }
+}
+
+/// Bytes reserved for one rendered row: full-grid rows run ~405 B.
+const ROW_CAPACITY: usize = 512;
+
+/// Appends `n` in decimal.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0_u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `v` with `precision` fractional digits (at most 9), byte for
+/// byte as `format!("{v:.precision$}")` would.
+///
+/// `core::fmt` rounds the exact binary value of `v`, half to even. The
+/// fast path rounds the double `scaled = v * 10^precision` instead.
+/// Below 2^52 every tie `k + 0.5` is itself a double and rounding is
+/// monotone, so `scaled` lies on the same side of each tie as the exact
+/// product, or on the tie itself. Only that last case can round
+/// differently, so it falls back to `core::fmt`, as do non-positive and
+/// non-finite values and any `scaled` at or above 2^52.
+fn push_fixed(out: &mut String, v: f64, precision: usize) {
+    const POW10: [u64; 10] = [
+        1,
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ];
+    /// 2^52: below it a double's integer part and fraction are exact.
+    const EXACT_LIMIT: f64 = 4_503_599_627_370_496.0;
+    const TIE: f64 = 0.5;
+    let unit = POW10[precision];
+    let scaled = v * unit as f64;
+    if v > 0.0 && scaled < EXACT_LIMIT {
+        // `as` truncates toward zero: the floor, for positive values.
+        let whole = scaled as u64;
+        let frac = scaled - whole as f64;
+        if frac != TIE {
+            let rounded = whole + u64::from(frac > TIE);
+            push_uint(out, rounded / unit);
+            if precision > 0 {
+                out.push('.');
+                let frac_digits = rounded % unit;
+                let mut pad = unit / 10;
+                while pad > frac_digits.max(1) {
+                    out.push('0');
+                    pad /= 10;
+                }
+                push_uint(out, frac_digits);
+            }
+            return;
+        }
+    }
+    let _ = write!(out, "{v:.precision$}");
 }
 
 /// Short label for a FlexSA mode in rows and summaries.
@@ -393,8 +477,9 @@ impl DseCompiled {
         &self.grid
     }
 
-    /// Evaluates point `index`: replays the two candidate arena plans
-    /// and folds the budget over the precomputed weight footprints.
+    /// Evaluates point `index`: sums the step times of the two
+    /// candidate arena plans and folds the budget over the precomputed
+    /// weight footprints.
     /// Pure and lock-free — safe to call from any number of threads.
     ///
     /// # Panics
@@ -424,7 +509,7 @@ impl DseCompiled {
             total_ms: candidate
                 .plan
                 .as_ref()
-                .map(|plan| self.arena.replay(plan).total_ms)
+                .map(|plan| self.arena.total_ms(plan))
                 .map_err(Clone::clone),
             resident_gemms: candidate
                 .weight_bytes
@@ -466,11 +551,14 @@ impl DseReport {
     #[must_use]
     pub fn from_rows(rows: &[DseRow]) -> Self {
         let mut digest = crate::stream::fnv1a64_seed();
+        let mut rendered = String::with_capacity(ROW_CAPACITY);
         let mut winners: Vec<(&'static str, usize)> = Vec::new();
         let mut resident_points = 0;
         let mut per_network: Vec<(Arc<str>, usize, usize)> = Vec::new();
         for row in rows {
-            digest = fnv1a64_chain(digest, row.to_json().as_bytes());
+            rendered.clear();
+            row.write_json(&mut rendered);
+            digest = fnv1a64_chain(digest, rendered.as_bytes());
             let name = row.winner().map_or("none", |w| w.name);
             match winners.iter_mut().find(|(n, _)| *n == name) {
                 Some((_, count)) => *count += 1,
@@ -661,6 +749,121 @@ mod tests {
         // The summary digest is the chained hash of the rows.
         let again = DseReport::from_rows(&rows);
         assert_eq!(report.rows_digest, again.rows_digest);
+    }
+
+    #[test]
+    fn sum_only_replay_has_the_bits_of_a_full_replay() {
+        let compiled = DseGrid::smoke().compile();
+        let mut plans = 0;
+        for candidate in compiled.candidates.iter().flatten().flatten() {
+            let plan = candidate.plan.as_ref().expect("smoke candidates all plan");
+            assert_eq!(
+                compiled.arena.total_ms(plan).to_bits(),
+                compiled.arena.replay(plan).total_ms.to_bits(),
+                "{} on {}",
+                candidate.name,
+                plan.network()
+            );
+            plans += 1;
+        }
+        assert_eq!(plans, 5 * 2 * 2);
+    }
+
+    /// Asserts the fast fixed-point writer and `core::fmt` agree on `v`
+    /// at both precisions the rows print.
+    fn assert_fixed_matches_fmt(v: f64) {
+        for precision in [3, 6] {
+            let mut fast = String::new();
+            push_fixed(&mut fast, v, precision);
+            assert_eq!(
+                fast,
+                format!("{v:.precision$}"),
+                "{v:e} (bits {:#018x}) at {precision} digits",
+                v.to_bits()
+            );
+        }
+    }
+
+    /// `v` and its two neighbouring doubles.
+    fn with_neighbours(v: f64) -> [f64; 3] {
+        [v.next_down(), v, v.next_up()]
+    }
+
+    #[test]
+    fn fixed_writer_matches_core_fmt_at_ties_and_edges() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            -1.5,
+            -0.0005,
+            -123.456_789_5,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            // Exact binary ties: 62.5e-3, 187.5e-3, 7812.5e-6, 23437.5e-6.
+            0.0625,
+            0.1875,
+            0.007_812_5,
+            0.023_437_5,
+            0.0005,
+            0.0015,
+            0.0025,
+            2.5e-7,
+            1.5e-6,
+            1.000_000_5,
+            1.000_5,
+            0.999_999_5,
+            0.999_5,
+            9.999_999_5,
+            1.0,
+        ];
+        for unit in [1e3, 1e6] {
+            // Exact and inexact ties `(k + 0.5) / unit`.
+            for k in [0_u64, 1, 2, 3, 9, 10, 99, 999, 1_000, 999_999, 123_456_789] {
+                values.push((k as f64 + 0.5) / unit);
+            }
+            // The 2^52 cut-over of `scaled`, and beyond it.
+            let limit = 4_503_599_627_370_496.0 / unit;
+            values.extend([limit, limit * 2.0, limit * 1024.0, 1e300]);
+        }
+        for v in values {
+            for w in with_neighbours(v) {
+                assert_fixed_matches_fmt(w);
+            }
+        }
+        let mut digits = String::new();
+        push_uint(&mut digits, 0);
+        digits.push(' ');
+        push_uint(&mut digits, u64::MAX);
+        assert_eq!(digits, format!("0 {}", u64::MAX));
+    }
+
+    #[test]
+    fn fixed_writer_matches_core_fmt_over_seeded_values() {
+        // SplitMix64: a fixed seed, so a failure reproduces.
+        let mut state = 0x5eed_d5e0_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..100_000 {
+            // Log-uniform over [1e-9, 1e9].
+            let unit_draw = (next() >> 11) as f64 / (1_u64 << 53) as f64;
+            let v = 10_f64.powf(18.0 * unit_draw - 9.0);
+            assert_fixed_matches_fmt(v);
+            // A tie at a random magnitude, and its neighbours.
+            let k = (next() % 1_000_000_000) as f64;
+            for w in with_neighbours((k + 0.5) / 1e6) {
+                assert_fixed_matches_fmt(w);
+            }
+        }
     }
 
     #[test]

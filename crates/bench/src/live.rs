@@ -157,9 +157,11 @@ pub fn run_live(options: &LiveOptions) -> Result<LiveBenchReport, String> {
     // exercised: 50µs per hop, 1 MiB/ms.
     let transport = TransportModel::symmetric(0.05, 1024.0 * 1024.0);
     let mode = if options.mode == "closed" {
-        // The window must keep the size-8 policy fed on every shard.
+        // The window must keep the size-8 policy fed on every shard:
+        // a batch fills from one network's queue, so each shard may need
+        // eight requests of every network in flight.
         LiveMode::ClosedLoop {
-            window: 8 * cluster.shard_count(),
+            window: 8 * cluster.shard_count() * cluster.networks().len(),
         }
     } else {
         LiveMode::OpenLoop
@@ -386,6 +388,22 @@ mod tests {
         ] {
             let report = run_live(&tiny_options(mode, shape)).unwrap();
             assert!(report.all_agree(), "{mode}/{shape}: {:#?}", report.combos);
+        }
+    }
+
+    #[test]
+    fn closed_loop_outlives_a_per_shard_window() {
+        // 200 requests overrun a window of 8 per shard, which starves
+        // SizeK(8) once the queued requests spread over three networks.
+        let options = LiveOptions {
+            requests: 200,
+            time_scale: 0.005,
+            ..tiny_options("closed", "steady")
+        };
+        let report = run_live(&options).unwrap();
+        assert!(report.all_agree(), "{:#?}", report.combos);
+        for combo in &report.combos {
+            assert_eq!(combo.served + combo.rejected, 200);
         }
     }
 

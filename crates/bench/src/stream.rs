@@ -15,8 +15,12 @@
 //! construction: the buffered mode (`SMA_SWEEP_STREAM=0`) drives the
 //! same writer over an in-memory sink and writes the file at the end,
 //! so the bytes on disk are produced by exactly one code path either
-//! way. The chained [`fnv1a64`] digest over rows (in index order)
-//! gives a cheap cross-run fingerprint for the CI double-run diff.
+//! way.
+//!
+//! The writer hashes nothing. The committed fingerprint of the DSE rows,
+//! `rows_digest` in `BENCH_dse.json`, is chained over the rendered rows
+//! by `DseReport::from_rows`, outside the writer's lock. The FNV-1a
+//! helpers below are the hash that summary and the sweep reports use.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -58,8 +62,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct StreamStats {
     /// Rows written.
     pub rows: usize,
-    /// Chained FNV-1a 64 digest over the rows, in index order.
-    pub digest: u64,
     /// Largest number of rows ever parked waiting for an earlier row —
     /// the writer's actual memory high-water mark, in rows.
     pub peak_pending: usize,
@@ -71,16 +73,14 @@ struct StreamInner<W: Write> {
     next: usize,
     /// Completed rows whose predecessors have not all arrived yet.
     pending: BTreeMap<usize, String>,
-    digest: u64,
     rows: usize,
     peak_pending: usize,
 }
 
 impl<W: Write> StreamInner<W> {
-    /// Writes `row`, folding it into the digest.
+    /// Writes `row` and advances the cursor.
     fn emit(&mut self, row: &str) -> io::Result<()> {
         self.out.write_all(row.as_bytes())?;
-        self.digest = fnv1a64_chain(self.digest, row.as_bytes());
         self.rows += 1;
         self.next += 1;
         Ok(())
@@ -101,7 +101,6 @@ impl<W: Write> StreamWriter<W> {
                 out,
                 next: 0,
                 pending: BTreeMap::new(),
-                digest: fnv1a64_seed(),
                 rows: 0,
                 peak_pending: 0,
             }),
@@ -169,7 +168,6 @@ impl<W: Write> StreamWriter<W> {
         Ok((
             StreamStats {
                 rows: inner.rows,
-                digest: inner.digest,
                 peak_pending: inner.peak_pending,
             },
             inner.out,
@@ -210,10 +208,9 @@ mod tests {
 
     #[test]
     fn out_of_order_rows_land_in_index_order() {
-        let (in_order, a) = written(&[0, 1, 2, 3, 4, 5], 6);
+        let (_, a) = written(&[0, 1, 2, 3, 4, 5], 6);
         let (scrambled, b) = written(&[3, 0, 5, 1, 2, 4], 6);
         assert_eq!(a, b, "bytes must not depend on completion order");
-        assert_eq!(in_order.digest, scrambled.digest);
         assert!(scrambled.peak_pending >= 1);
     }
 
@@ -222,12 +219,6 @@ mod tests {
         let (stats, bytes) = written(&[4, 3, 2, 1, 0], 5);
         assert_eq!(bytes, rows(5).concat().into_bytes());
         assert_eq!(stats.peak_pending, 4);
-    }
-
-    #[test]
-    fn digest_matches_one_shot_hash_of_the_bytes() {
-        let (stats, bytes) = written(&[2, 0, 1], 3);
-        assert_eq!(stats.digest, fnv1a64(&bytes));
     }
 
     #[test]

@@ -191,16 +191,11 @@ impl NetworkPlan {
         self.profiled_layers
     }
 
-    /// Total milliseconds of one replay (without building the profile).
+    /// Total milliseconds of one replay without building the profile;
+    /// bit-identical to `run().total_ms` (see [`sum_total_ms`]).
     #[must_use]
     pub fn total_ms(&self) -> f64 {
-        self.steps
-            .iter()
-            .map(|s| match *s {
-                PlannedStep::CrfHandoff { transfer_ms } => transfer_ms,
-                PlannedStep::Layer { ms, .. } => ms,
-            })
-            .sum()
+        sum_total_ms(&self.steps)
     }
 
     /// Estimated resident size of the compiled plan in bytes: the plan
@@ -235,6 +230,21 @@ fn fold_steps(
         step.apply(&mut profile);
     }
     profile
+}
+
+/// The `total_ms` of a replay of `steps`, without building the profile.
+///
+/// Adds the same step times in the same order, from the same `0.0`, as
+/// [`PlannedStep::apply`] adds to [`NetworkProfile::total_ms`], so the
+/// result has the same bits as a full replay's.
+fn sum_total_ms(steps: &[PlannedStep]) -> f64 {
+    steps.iter().fold(0.0, |total, step| {
+        total
+            + match *step {
+                PlannedStep::CrfHandoff { transfer_ms } => transfer_ms,
+                PlannedStep::Layer { ms, .. } => ms,
+            }
+    })
 }
 
 /// One template step of a [`PlanFamily`]: either a frozen
@@ -532,20 +542,15 @@ impl PlanArena {
         )
     }
 
-    /// Total milliseconds of one replay without building the profile.
+    /// Total milliseconds of one replay without building the profile;
+    /// bit-identical to `replay(plan).total_ms` (see [`sum_total_ms`]).
     ///
     /// # Panics
     ///
     /// Panics if `plan` came from a different arena.
     #[must_use]
     pub fn total_ms(&self, plan: &ArenaPlan) -> f64 {
-        self.steps(plan)
-            .iter()
-            .map(|s| match *s {
-                PlannedStep::CrfHandoff { transfer_ms } => transfer_ms,
-                PlannedStep::Layer { ms, .. } => ms,
-            })
-            .sum()
+        sum_total_ms(self.steps(plan))
     }
 
     /// Total frozen steps resident across all interned plans.
@@ -641,8 +646,8 @@ mod tests {
         assert_eq!(plan.layer_count(), net.layers().len());
         assert_eq!(plan.layer_count(), plan.run().layers.len());
         assert!(plan.total_ms() > 0.0);
-        // total_ms() agrees with a replay up to summation order.
-        assert!((plan.total_ms() - plan.run().total_ms).abs() < 1e-9);
+        // total_ms() folds the replay's steps in the replay's order.
+        assert_eq!(plan.total_ms().to_bits(), plan.run().total_ms.to_bits());
     }
 
     #[test]
