@@ -192,7 +192,8 @@ impl NetworkPlan {
     }
 
     /// Total milliseconds of one replay without building the profile;
-    /// bit-identical to `run().total_ms` (see [`sum_total_ms`]).
+    /// bit-identical to `run().total_ms`, which folds the same step
+    /// totals from `0.0` in the same order.
     #[must_use]
     pub fn total_ms(&self) -> f64 {
         sum_total_ms(&self.steps)
@@ -543,7 +544,8 @@ impl PlanArena {
     }
 
     /// Total milliseconds of one replay without building the profile;
-    /// bit-identical to `replay(plan).total_ms` (see [`sum_total_ms`]).
+    /// bit-identical to `replay(plan).total_ms`, which folds the same
+    /// step totals from `0.0` in the same order.
     ///
     /// # Panics
     ///

@@ -10,10 +10,11 @@
 //! degrade or stall shards (recovery — retries, hedges — rides the
 //! same queue). Events are totally ordered by `(time, class,
 //! sequence)` — time via `f64::total_cmp`, then arrivals before
-//! completions before timers before fault/retry/hedge events at equal
-//! instants, and a monotone sequence number last — so a run is a pure
-//! function of its inputs: byte-identical across repeats, machines and
-//! worker-thread counts, with or without faults.
+//! completions before timers before fault, retry, hedge, preempt and
+//! scale events at equal instants, and a monotone sequence number
+//! last — so a run is a pure function of its inputs: byte-identical
+//! across repeats, machines and worker-thread counts, with or without
+//! faults.
 //!
 //! Two admission modes bound the refactor:
 //!
@@ -48,7 +49,7 @@ use super::load::Request;
 use super::placement::{place, ClusterView, Placement, ViewGauges};
 use super::policy::BatchPolicy;
 use super::scale::{AutoscalePolicy, EnergyFrontier, ReconfigPolicy, ReconfigStats, ScaleStats};
-use super::shard::{close_fleet, Batch, ShardCore};
+use super::shard::{close_fleet, Batch, Ready, ShardCore};
 use super::slo::PreemptPolicy;
 use super::{ServeCluster, ShardReport};
 use crate::backend::RuntimeError;
@@ -496,6 +497,8 @@ struct Engine<'a> {
     mix_counts: Vec<u64>,
     // Scratch buffers for the live view (rebuilt per consultation).
     live: ViewGauges,
+    /// Scratch for [`ShardCore::select`] (refilled per dispatch).
+    ready: Vec<Ready>,
 }
 
 /// Runs the engine. Consumes the placement's mutable state for one
@@ -621,6 +624,7 @@ impl<'a> Engine<'a> {
             frontier,
             mix_counts: vec![0; net_count],
             live: ViewGauges::new(shard_count),
+            ready: Vec::new(),
         }
     }
 
@@ -1054,8 +1058,8 @@ impl<'a> Engine<'a> {
                 }
                 true
             });
-        // Free the finished batch before the next one allocates.
-        drop(in_flight);
+        // The next launch refills the finished batch's buffer.
+        state.core.recycle(in_flight.batch);
         // First completion wins: queued hedge twins of the ids just
         // served are cancelled cluster-wide.
         if self.config.hedge.is_some() && !newly_served.is_empty() {
@@ -1100,9 +1104,10 @@ impl<'a> Engine<'a> {
             self.shards[shard].core.fault_mut().aborted_batches += 1;
             // Aborted work is lost: not billed as busy time, no batch
             // or request records. The victims follow the retry policy.
-            for request in in_flight.batch.requests {
+            for &request in &in_flight.batch.requests {
                 self.retry_or_fail(request, now_ms, shard);
             }
+            self.shards[shard].core.recycle(in_flight.batch);
         }
     }
 
@@ -1223,19 +1228,25 @@ impl<'a> Engine<'a> {
         }
         let global_future = &self.global_future;
         let preplaced = self.preassigned.is_some();
+        let ready = &mut self.ready;
         let state = &mut self.shards[shard];
         let future_per_net = &state.future_per_net;
-        let (ready, mut wake_ms) = state.core.select(now_ms, |net| {
-            if preplaced {
-                future_per_net[net] > 0
-            } else {
-                global_future[net] > 0
-            }
-        });
+        let mut wake_ms = state.core.select(
+            now_ms,
+            |net| {
+                if preplaced {
+                    future_per_net[net] > 0
+                } else {
+                    global_future[net] > 0
+                }
+            },
+            ready,
+        );
         let fail_active = now_ms < state.compile_fail_until;
         if let Some(launch) = ready
             .iter()
             .find(|r| !fail_active || state.core.has_plan(&(r.net, r.take)))
+            .copied()
         {
             return self.dispatch(shard, now_ms, launch.net, launch.take);
         }

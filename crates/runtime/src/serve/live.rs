@@ -54,7 +54,7 @@ use super::fault::FaultKind;
 use super::load::Request;
 use super::placement::{Placement, ViewGauges};
 use super::policy::BatchPolicy;
-use super::shard::{close_fleet, ShardCore, WindowSchedule};
+use super::shard::{close_fleet, Ready, ShardCore, WindowSchedule};
 use super::transport::TransportModel;
 use super::{EngineConfig, ServeCluster, ServeRun};
 use crate::backend::RuntimeError;
@@ -324,6 +324,7 @@ impl LiveServer {
                 let worker = Worker {
                     shard,
                     core,
+                    ready: Vec::new(),
                     windows: WindowSchedule::new(&self.engine.faults, shard),
                     scale: self.live.time_scale,
                     transport: self.live.transport,
@@ -522,6 +523,8 @@ struct ShardGauges {
 struct Worker<'a> {
     shard: usize,
     core: ShardCore<'a>,
+    /// Scratch for [`ShardCore::select`] (refilled per dispatch).
+    ready: Vec<Ready>,
     /// The shard's degrade/stall window edges, fed to the core in time
     /// order.
     windows: WindowSchedule,
@@ -570,8 +573,8 @@ impl<'a> Worker<'a> {
                 }
             }
 
-            let (ready, wake_ms) = self.core.select(self.sim_now(), |_| open);
-            if let Some(best) = ready.first() {
+            let wake_ms = self.core.select(self.sim_now(), |_| open, &mut self.ready);
+            if let Some(best) = self.ready.first().copied() {
                 self.execute_batch(best.net, best.take, done)?;
                 continue;
             }
@@ -654,6 +657,7 @@ impl<'a> Worker<'a> {
                 let _ = done_tx.send(request.id);
             }
         }
+        self.core.recycle(batch);
         Ok(())
     }
 }

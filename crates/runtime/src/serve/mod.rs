@@ -115,7 +115,8 @@ use crate::backend::RuntimeError;
 use crate::executor::Executor;
 use crate::plan::NetworkPlan;
 use sma_models::Network;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One request after the drain: when it arrived, started and finished.
 #[derive(Debug, Clone, Copy)]
@@ -189,8 +190,10 @@ pub struct ShardReport {
     pub busy_ms: f64,
     /// Simulated instant the last batch completed (0 if idle).
     pub makespan_ms: f64,
-    /// `(network, batch)` plan keys this run compiled on top of the
-    /// pre-seeded batch-1 set, in compilation order.
+    /// `(network, batch)` plan keys this run first used on top of the
+    /// pre-seeded batch-1 set, in first-use order. The cluster compiles
+    /// each key once and shares it across runs, so a key appears here
+    /// whether this run compiled it or found it in the cluster's table.
     pub plans_compiled: Vec<(usize, usize)>,
     /// Simulated plan-cache counters.
     pub cache: PlanCacheStats,
@@ -204,12 +207,16 @@ pub struct ShardReport {
 }
 
 /// A compiled serving cluster: the shard executors, the hosted
-/// networks, and the batch-1 plan/cost matrix.
+/// networks, the batch-1 plan/cost matrix, and a table of batched
+/// service times.
 ///
-/// Everything here depends only on (executor, network) — not on the
-/// policy, placement, trace or engine config — so one cluster compiles
-/// once and is shared (via `Arc`) by every [`ServeSim`] over it, e.g.
-/// every combo of the serving benchmark matrix.
+/// Everything here depends only on (executor, network, batch) — not on
+/// the policy, placement, trace or engine config — so one cluster is
+/// shared (via `Arc`) by every [`ServeSim`] and live-twin worker over
+/// it, e.g. every combo of the serving benchmark matrix. The batch-1
+/// matrices are frozen at construction; the batched-service table
+/// fills on first use of each `(shard, network, batch)` key by any run
+/// and is read by every later one.
 #[derive(Debug)]
 pub struct ServeCluster {
     shards: Vec<Executor>,
@@ -223,6 +230,9 @@ pub struct ServeCluster {
     /// ([`NetworkPlan::mem_bytes`] — batch-invariant, so it prices
     /// every batch size of the network).
     unit_plan_bytes: Vec<Vec<u64>>,
+    /// `(shard, network, batch) → service ms` of every batched plan a
+    /// run over this cluster has compiled. Errors are never stored.
+    batched_service_ms: Mutex<BTreeMap<(usize, usize, usize), f64>>,
 }
 
 impl ServeCluster {
@@ -250,7 +260,7 @@ impl ServeCluster {
             let mut bytes = Vec::with_capacity(networks.len());
             for network in &networks {
                 let plan = executor.with_batch(1).try_plan(network)?;
-                costs.push(plan.run().total_ms);
+                costs.push(plan.total_ms());
                 bytes.push(plan.mem_bytes());
                 plans.push(plan);
             }
@@ -265,6 +275,7 @@ impl ServeCluster {
             unit_plans,
             unit_service_ms,
             unit_plan_bytes,
+            batched_service_ms: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -327,6 +338,40 @@ impl ServeCluster {
     #[must_use]
     pub fn unit_plan(&self, shard: usize, network: usize) -> &NetworkPlan {
         &self.unit_plans[shard][network]
+    }
+
+    /// One replay's total of `network`'s plan at batch size `batch` on
+    /// `shard`, compiled on the first request for the key by any run
+    /// and served from the cluster's table afterwards.
+    ///
+    /// The compile runs outside the lock, so two runs racing on one
+    /// key may both compile it; they insert the same value. A rejected
+    /// compile is not stored, so every run that needs the key fails.
+    ///
+    /// # Errors
+    ///
+    /// The backend rejecting the batched plan compile.
+    pub(super) fn batched_service_ms(
+        &self,
+        shard: usize,
+        network: usize,
+        batch: usize,
+    ) -> Result<f64, RuntimeError> {
+        let key = (shard, network, batch);
+        let table = || {
+            self.batched_service_ms
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(&ms) = table().get(&key) {
+            return Ok(ms);
+        }
+        let ms = self.shards[shard]
+            .with_batch(batch)
+            .try_plan(&self.networks[network])?
+            .total_ms();
+        table().insert(key, ms);
+        Ok(ms)
     }
 }
 
@@ -492,8 +537,11 @@ impl ServeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, IrregularEstimate, IrregularWork, SmaBackend};
     use crate::platform::Platform;
+    use sma_core::model::GemmEstimate;
     use sma_models::zoo;
+    use sma_tensor::GemmShape;
 
     fn small_sim(policy: Arc<dyn BatchPolicy>, config: EngineConfig) -> ServeSim {
         let shards = vec![
@@ -597,6 +645,75 @@ mod tests {
                 .collect();
             assert!(hosts.len() <= 1, "network {net} spread over {hosts:?}");
         }
+    }
+
+    /// The stock 3-SMA backend, except that it rejects every GEMM
+    /// taller than `max_m`: batch-1 plans compile, batched ones do not.
+    #[derive(Debug)]
+    struct BatchOneOnly {
+        inner: SmaBackend,
+        max_m: usize,
+    }
+
+    impl Backend for BatchOneOnly {
+        fn name(&self) -> &'static str {
+            "batch-one-only"
+        }
+        fn gemm(&self, shape: GemmShape) -> Result<GemmEstimate, RuntimeError> {
+            if shape.m > self.max_m {
+                return Err(RuntimeError::UnsupportedOnBackend {
+                    backend: "batch-one-only",
+                    operation: "batched gemm",
+                });
+            }
+            self.inner.gemm(shape)
+        }
+        fn irregular(&self, work: IrregularWork) -> IrregularEstimate {
+            self.inner.irregular(work)
+        }
+        fn transfer_ms(&self, bytes: u64) -> f64 {
+            self.inner.transfer_ms(bytes)
+        }
+        fn simd_mode_boost(&self) -> f64 {
+            self.inner.simd_mode_boost()
+        }
+    }
+
+    #[test]
+    fn a_rejected_batched_compile_fails_every_run_that_needs_it() {
+        let network = zoo::alexnet();
+        let max_m = network.gemm_shapes().iter().map(|s| s.m).max().unwrap();
+        let shard = Executor::builder(Platform::Sma3)
+            .backend(Arc::new(BatchOneOnly {
+                inner: SmaBackend::iso_area_3sma(),
+                max_m,
+            }))
+            .build();
+        let trace = LoadGenerator::new(5, 1.0).trace(40, 1);
+        let sim = ServeSim::try_new(
+            vec![shard],
+            vec![network],
+            Arc::new(SizeK::new(2)),
+            &trace,
+            EngineConfig::default(),
+        )
+        .expect("batch-1 plans compile");
+        // The cluster's table never stores the rejection: every run
+        // that needs the batched plan fails, not only the first.
+        for attempt in 0..2 {
+            assert!(
+                sim.try_run(&mut RoundRobin::default()).is_err(),
+                "run {attempt} must fail"
+            );
+        }
+        assert!(sim.cluster().batched_service_ms(0, 0, 2).is_err());
+        let unbatched = ServeSim::with_cluster(
+            Arc::clone(sim.cluster()),
+            Arc::new(Immediate),
+            &trace,
+            EngineConfig::default(),
+        );
+        assert!(unbatched.try_run(&mut RoundRobin::default()).is_ok());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! A [`ShardCore`] owns everything a shard *decides*: its per-network
 //! queues and the time-weighted depth gauge, policy batch selection,
-//! launch pricing (the service memo, compile-on-first-use, the degrade
-//! factor, the reconfiguration penalty and the plan-cache compile
-//! charge), the depth-counted degrade/stall window state, the
-//! traffic-mix reconfiguration window, and the batch and request
-//! records that become its [`ShardReport`].
+//! launch pricing (the service memo over the cluster's batched-service
+//! table, the degrade factor, the reconfiguration penalty and the
+//! plan-cache compile charge), the depth-counted degrade/stall window
+//! state, the traffic-mix reconfiguration window, and the batch and
+//! request records that become its [`ShardReport`].
 //!
 //! It never reads a clock and never touches a thread: every method
 //! takes the current simulated instant from its caller and returns a
@@ -23,7 +23,7 @@ use super::policy::{BatchPolicy, PolicyDecision};
 use super::scale::ReconfigStats;
 use super::{BatchRecord, EngineConfig, ServeCluster, ServedRequest, ShardReport};
 use crate::backend::RuntimeError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Capacity-bounded LRU over simulated plan residency, keyed on
 /// `(network, batch)` and charged with
@@ -33,19 +33,29 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Debug)]
 struct PlanCache {
     budget: Option<u64>,
-    /// `(bytes, last_use)` per resident plan; `last_use` ticks are
-    /// unique, so the LRU victim is always unambiguous.
-    entries: BTreeMap<(usize, usize), (u64, u64)>,
+    /// `(key, bytes, last_use)` per resident plan, in no particular
+    /// order: `last_use` ticks are unique, so the LRU victim never
+    /// depends on where an entry sits. A shard holds a few plans, so a
+    /// linear scan beats a tree.
+    entries: Vec<PlanEntry>,
     resident_bytes: u64,
     tick: u64,
     stats: PlanCacheStats,
+}
+
+/// One resident plan of a [`PlanCache`].
+#[derive(Debug, Clone, Copy)]
+struct PlanEntry {
+    key: (usize, usize),
+    bytes: u64,
+    last_use: u64,
 }
 
 impl PlanCache {
     fn new(budget: Option<u64>) -> Self {
         PlanCache {
             budget,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             resident_bytes: 0,
             tick: 0,
             stats: PlanCacheStats::default(),
@@ -55,7 +65,7 @@ impl PlanCache {
     /// Whether a plan is resident right now (no stats side effects —
     /// the transient-compile-fail gate peeks without billing).
     fn contains(&self, key: &(usize, usize)) -> bool {
-        self.entries.contains_key(key)
+        self.entries.iter().any(|entry| entry.key == *key)
     }
 
     /// Looks up (and on miss admits) a plan, returning the simulated
@@ -67,30 +77,28 @@ impl PlanCache {
     fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
         self.stats.lookups += 1;
         self.tick += 1;
-        if let Some((_, last_use)) = self.entries.get_mut(&key) {
-            *last_use = self.tick;
+        if let Some(entry) = self.entries.iter_mut().find(|entry| entry.key == key) {
+            entry.last_use = self.tick;
             self.stats.hits += 1;
             return 0.0;
         }
         self.stats.misses += 1;
         if let Some(budget) = self.budget {
-            while self.resident_bytes + bytes > budget && !self.entries.is_empty() {
-                let victim = *self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, &(_, last_use))| last_use)
-                    .map(|(k, _)| k)
-                    // sma-lint: allow(no-panic) — the loop guard
-                    // just checked !entries.is_empty().
-                    .expect("non-empty cache has an LRU victim");
-                // sma-lint: allow(no-panic) — victim was read out of
-                // this map two lines up; no intervening mutation.
-                let (evicted_bytes, _) = self.entries.remove(&victim).expect("victim resident");
-                self.resident_bytes -= evicted_bytes;
+            while self.resident_bytes + bytes > budget {
+                let Some(victim) =
+                    (0..self.entries.len()).min_by_key(|&i| self.entries[i].last_use)
+                else {
+                    break;
+                };
+                self.resident_bytes -= self.entries.swap_remove(victim).bytes;
                 self.stats.evictions += 1;
             }
         }
-        self.entries.insert(key, (bytes, self.tick));
+        self.entries.push(PlanEntry {
+            key,
+            bytes,
+            last_use: self.tick,
+        });
         self.resident_bytes += bytes;
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.resident_bytes);
         compile_ms
@@ -258,10 +266,14 @@ pub(super) struct ShardCore<'a> {
     stall_depth: u32,
     /// Extra compile-on-miss latency while stalled (0 when clear).
     stall_extra_ms: f64,
-    /// Memoized `(network, batch) → service ms`; first use compiles
-    /// the plan through the executor.
-    service_ms: BTreeMap<(usize, usize), f64>,
+    /// `service_ms[network][batch]`: the service times this run has
+    /// used, batch 1 pre-seeded. A missing entry is read from the
+    /// cluster's batched-service table and recorded as first used.
+    service_ms: Vec<Vec<Option<f64>>>,
     cache: PlanCache,
+    /// The request buffer of the last completed batch, refilled by the
+    /// next launch (one batch runs at a time).
+    spare_requests: Vec<Request>,
     /// Queued-request count (all networks).
     depth: usize,
     depth_max: usize,
@@ -352,10 +364,10 @@ impl<'a> ShardCore<'a> {
                 // compile).
                 service_ms: cluster.unit_service_ms()[shard]
                     .iter()
-                    .enumerate()
-                    .map(|(net, &ms)| ((net, 1), ms))
+                    .map(|&ms| vec![None, Some(ms)])
                     .collect(),
                 cache: PlanCache::new(config.cache_budget.for_shard(shard)),
+                spare_requests: Vec::new(),
                 depth: 0,
                 depth_max: 0,
                 depth_integral_ms: 0.0,
@@ -443,11 +455,12 @@ impl<'a> ShardCore<'a> {
         }
     }
 
-    /// Evaluates every non-empty queue at `now_ms`. Returns the
-    /// dispatch-ready queues, best first, and the earliest instant a
-    /// waiting queue asked to be re-evaluated (`INFINITY` if none).
-    /// `more_arrivals(net)` says whether further arrivals for `net` can
-    /// still reach this shard.
+    /// Evaluates every non-empty queue at `now_ms`. Refills `ready`
+    /// with the dispatch-ready queues, best first, and returns the
+    /// earliest instant a waiting queue asked to be re-evaluated
+    /// (`INFINITY` if none). `more_arrivals(net)` says whether further
+    /// arrivals for `net` can still reach this shard. The caller keeps
+    /// `ready` across calls, so selection allocates nothing.
     ///
     /// The order matches the pre-engine drain: ready queues race on
     /// [`BatchPolicy::urgency`] (default: head arrival — FIFO across
@@ -457,8 +470,9 @@ impl<'a> ShardCore<'a> {
         &mut self,
         now_ms: f64,
         more_arrivals: impl Fn(usize) -> bool,
-    ) -> (Vec<Ready>, f64) {
-        let mut ready: Vec<Ready> = Vec::new();
+        ready: &mut Vec<Ready>,
+    ) -> f64 {
+        ready.clear();
         let mut wake_ms = f64::INFINITY;
         for (net, queue) in self.queues.iter_mut().enumerate() {
             if queue.is_empty() {
@@ -478,20 +492,24 @@ impl<'a> ShardCore<'a> {
                 PolicyDecision::WaitForArrivals => {}
             }
         }
-        ready.sort_by(|a, b| {
+        // Networks are distinct, so the key is a total order and an
+        // unstable sort is exact.
+        ready.sort_unstable_by(|a, b| {
             a.class
                 .cmp(&b.class)
                 .then(a.urgency.total_cmp(&b.urgency))
                 .then(a.net.cmp(&b.net))
         });
-        (ready, wake_ms)
+        wake_ms
     }
 
     /// Launches the first `take` queued requests of `net` at `now_ms`
-    /// and prices the batch: memoized service time (first use compiles
-    /// through the executor), the degrade factor, the reconfiguration
-    /// penalty, and the compile-on-miss charge (plus any stall
-    /// surcharge) through the plan cache.
+    /// and prices the batch: memoized service time (first use reads the
+    /// cluster's batched-service table, which compiles the plan once
+    /// per cluster), the degrade factor, the reconfiguration penalty,
+    /// and the compile-on-miss charge (plus any stall surcharge)
+    /// through the plan cache. The batch's request buffer is the one
+    /// the last [`ShardCore::recycle`] handed back.
     ///
     /// # Errors
     ///
@@ -503,16 +521,17 @@ impl<'a> ShardCore<'a> {
         net: usize,
         take: usize,
     ) -> Result<Batch, RuntimeError> {
-        let service_base = match self.service_ms.entry((net, take)) {
-            std::collections::btree_map::Entry::Occupied(hit) => *hit.get(),
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                let plan = self
-                    .cluster
-                    .shard_executor(self.shard)
-                    .with_batch(take)
-                    .try_plan(&self.cluster.networks()[net])?;
+        let memo = &mut self.service_ms[net];
+        let service_base = match memo.get(take).copied().flatten() {
+            Some(ms) => ms,
+            None => {
+                let ms = self.cluster.batched_service_ms(self.shard, net, take)?;
+                if memo.len() <= take {
+                    memo.resize(take + 1, None);
+                }
+                memo[take] = Some(ms);
                 self.report.plans_compiled.push((net, take));
-                *slot.insert(plan.run().total_ms)
+                ms
             }
         };
         // Inside a degrade window the batch runs slower by the live
@@ -543,7 +562,8 @@ impl<'a> ShardCore<'a> {
             self.cluster.unit_plan_bytes()[self.shard][net],
             compile_charge,
         );
-        let requests: Vec<Request> = self.queues[net].drain(..take).collect();
+        let mut requests = std::mem::take(&mut self.spare_requests);
+        requests.extend(self.queues[net].drain(..take));
         self.note_depth(now_ms, self.depth - take);
         Ok(Batch {
             network: net,
@@ -592,6 +612,15 @@ impl<'a> ShardCore<'a> {
         self.report.makespan_ms = self.report.makespan_ms.max(finish_ms);
     }
 
+    /// Takes back a finished or aborted batch's request buffer for the
+    /// next [`ShardCore::launch`] to refill.
+    #[inline]
+    pub(super) fn recycle(&mut self, batch: Batch) {
+        let mut requests = batch.requests;
+        requests.clear();
+        self.spare_requests = requests;
+    }
+
     /// Evicts a running batch at `now_ms` (preemption). Unlike a crash
     /// abort, the partial work is *billed*: the elapsed slice counts as
     /// busy time and is reported as preempted busy time, so
@@ -611,6 +640,7 @@ impl<'a> ShardCore<'a> {
             queue.insert(pos, *victim);
         }
         self.note_depth(now_ms, self.depth + batch.requests.len());
+        self.recycle(batch);
     }
 
     /// Drops every queued request whose id is in `ids`.
@@ -774,6 +804,85 @@ mod tests {
         let stats = cache.into_stats();
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.resident_bytes, 100);
+    }
+
+    /// The `BTreeMap`-backed LRU the `Vec` cache replaced, kept as a
+    /// reference model: `(bytes, last_use)` per key, victim by minimum
+    /// `last_use`.
+    struct TreeModel {
+        budget: u64,
+        entries: std::collections::BTreeMap<(usize, usize), (u64, u64)>,
+        resident_bytes: u64,
+        tick: u64,
+        stats: PlanCacheStats,
+    }
+
+    impl TreeModel {
+        fn access(&mut self, key: (usize, usize), bytes: u64, compile_ms: f64) -> f64 {
+            self.stats.lookups += 1;
+            self.tick += 1;
+            if let Some((_, last_use)) = self.entries.get_mut(&key) {
+                *last_use = self.tick;
+                self.stats.hits += 1;
+                return 0.0;
+            }
+            self.stats.misses += 1;
+            while self.resident_bytes + bytes > self.budget && !self.entries.is_empty() {
+                let victim = *self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, &(_, last_use))| last_use)
+                    .map(|(k, _)| k)
+                    .unwrap();
+                let (evicted, _) = self.entries.remove(&victim).unwrap();
+                self.resident_bytes -= evicted;
+                self.stats.evictions += 1;
+            }
+            self.entries.insert(key, (bytes, self.tick));
+            self.resident_bytes += bytes;
+            self.stats.peak_bytes = self.stats.peak_bytes.max(self.resident_bytes);
+            compile_ms
+        }
+    }
+
+    #[test]
+    fn vec_plan_cache_matches_the_tree_reference_model() {
+        use super::super::SeededRng;
+        // Per-network plan sizes, as a cluster prices them; the budget
+        // holds two or three plans at a time, so most misses evict.
+        let sizes = [40_u64, 25, 60, 35, 50];
+        let budget = 120;
+        let mut cache = PlanCache::new(Some(budget));
+        let mut model = TreeModel {
+            budget,
+            entries: std::collections::BTreeMap::new(),
+            resident_bytes: 0,
+            tick: 0,
+            stats: PlanCacheStats::default(),
+        };
+        let mut rng = SeededRng::new(0x5EED_CAC4E);
+        for step in 0..5_000 {
+            let net = rng.next_index(sizes.len());
+            let key = (net, 1 + rng.next_index(4));
+            let compile_ms = 1.0 + net as f64;
+            assert_eq!(
+                cache.access(key, sizes[net], compile_ms),
+                model.access(key, sizes[net], compile_ms),
+                "compile charge of access {step} ({key:?})"
+            );
+            assert_eq!(cache.contains(&key), model.entries.contains_key(&key));
+        }
+        model.stats.resident_bytes = model.resident_bytes;
+        let (got, want) = (cache.into_stats(), model.stats);
+        assert!(want.evictions > 1_000, "the budget must keep evicting");
+        assert_eq!(
+            (got.hits, got.misses, got.evictions),
+            (want.hits, want.misses, want.evictions)
+        );
+        assert_eq!(
+            (got.lookups, got.resident_bytes, got.peak_bytes),
+            (want.lookups, want.resident_bytes, want.peak_bytes)
+        );
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Serving-simulation system tests: byte-identical `BENCH_serve.json`
 //! across runs and thread counts, the acceptance pins on the benchmark
 //! matrix (legacy rows distinct and eviction/SLO activity in the
-//! online rows), and exact GEMM-cache invariants under concurrent
-//! engine runs sharing one backend.
+//! online rows), exact GEMM-cache invariants under concurrent engine
+//! runs sharing one backend, and the cluster's batched-service table:
+//! shared runs match fresh clusters, and a repeat run compiles nothing.
 
-use sma::runtime::backend::{Backend, SmaBackend};
-use sma::runtime::serve::{EngineConfig, RoundRobin, ServeSim, SizeK};
+use sma::runtime::backend::{ArrayFlexBackend, Backend, FlexSaBackend, SmaBackend};
+use sma::runtime::serve::{
+    BatchPolicy, CacheBudget, EngineConfig, RoundRobin, ServeCluster, ServeSim, SizeK,
+};
 use sma::runtime::{Executor, Platform};
-use sma_bench::serve::{default_scenario, run_matrix};
+use sma_bench::serve::{
+    default_scenario, online_placement_matrix, online_policy_matrix, run_matrix, PlacementFactory,
+    ServeScenario,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -207,4 +213,165 @@ fn shared_gemm_cache_counters_stay_exact_through_concurrent_serve_runs() {
         let served: usize = run.reports.iter().map(|r| r.requests.len()).sum();
         assert_eq!(served, 600);
     }
+}
+
+/// One fault-free online combo of `run_matrix`.
+type Combo = (Arc<dyn BatchPolicy>, PlacementFactory, EngineConfig);
+
+/// `run_matrix`'s 16 fault-free online combos: 4 policies x 2
+/// placements x {unbounded, bounded} plan cache.
+fn steady_combos(scenario: &ServeScenario) -> Vec<Combo> {
+    let mean = scenario.mean_unit_service_ms;
+    let mut combos = Vec::new();
+    for budget in [
+        CacheBudget::Unbounded,
+        CacheBudget::Uniform(scenario.bounded_cache_bytes),
+    ] {
+        let config = EngineConfig::default()
+            .with_cache_budget(budget)
+            .with_compile_cost(scenario.compile_ms_per_layer);
+        for policy in online_policy_matrix(mean, mean) {
+            for placement in online_placement_matrix() {
+                combos.push((Arc::clone(&policy), placement, config.clone()));
+            }
+        }
+    }
+    combos
+}
+
+/// A combo's outcome rendering and every shard's `plans_compiled`.
+type ComboRun = (String, Vec<Vec<(usize, usize)>>);
+
+fn run_combo(cluster: &Arc<ServeCluster>, scenario: &ServeScenario, combo: &Combo) -> ComboRun {
+    let (policy, placement, config) = combo;
+    let sim = ServeSim::with_cluster(
+        Arc::clone(cluster),
+        Arc::clone(policy),
+        &scenario.trace,
+        config.clone(),
+    );
+    let run = sim.try_run(placement().as_mut()).expect("combo runs");
+    let compiled = run
+        .reports
+        .iter()
+        .map(|r| r.plans_compiled.clone())
+        .collect();
+    (format!("{:?}", sim.outcome(&run)), compiled)
+}
+
+/// The cluster compiles each batched plan once and every run over it
+/// shares the result, yet a run over a warm cluster reports exactly
+/// what it would over a cluster of its own: the same outcome, and the
+/// same `plans_compiled` (first use in *this* run) on every shard —
+/// whether the combos run in turn or race from two threads.
+#[test]
+fn combos_over_one_warm_cluster_match_fresh_clusters() {
+    let (requests, seed) = (500, 0x5EED_0015);
+    let scenario = default_scenario(requests, seed).unwrap();
+    let combos = steady_combos(&scenario);
+    assert_eq!(combos.len(), 16);
+    let fresh: Vec<ComboRun> = combos
+        .iter()
+        .map(|combo| {
+            let own = default_scenario(requests, seed).unwrap();
+            run_combo(&own.cluster, &own, combo)
+        })
+        .collect();
+    assert!(
+        fresh
+            .iter()
+            .any(|(_, compiled)| compiled.iter().any(|k| !k.is_empty())),
+        "some combo must batch above 1, or the comparison is vacuous"
+    );
+
+    let shared = &scenario.cluster;
+    // The first pass warms the table as it goes; the second finds
+    // every key already there.
+    for pass in 0..2 {
+        for (i, combo) in combos.iter().enumerate() {
+            assert_eq!(
+                run_combo(shared, &scenario, combo),
+                fresh[i],
+                "pass {pass}: combo {i} over the shared cluster"
+            );
+        }
+    }
+    let threaded: Vec<(usize, ComboRun)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|worker| {
+                let (combos, scenario) = (&combos, &scenario);
+                scope.spawn(move || {
+                    (worker..combos.len())
+                        .step_by(2)
+                        .map(|i| (i, run_combo(shared, scenario, &combos[i])))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(threaded.len(), combos.len());
+    for (i, run) in threaded {
+        assert_eq!(run, fresh[i], "combo {i} from two threads");
+    }
+}
+
+/// Regression guard for the batched-service table: the first run over
+/// a fresh cluster that batches above 1 performs GEMM lookups for its
+/// batched plans; a second identical run over the same cluster
+/// performs none, on the reconfigurable shards as on the rest.
+#[test]
+fn a_repeat_run_over_one_cluster_performs_no_gemm_lookup() {
+    let backends: Vec<(Platform, Arc<dyn Backend>)> = vec![
+        (Platform::Sma3, Arc::new(SmaBackend::iso_area_3sma())),
+        (Platform::ArrayFlex, Arc::new(ArrayFlexBackend::new())),
+        (Platform::FlexSa, Arc::new(FlexSaBackend::new())),
+    ];
+    let lookups = || -> u64 {
+        backends
+            .iter()
+            .map(|(_, backend)| {
+                let stats = backend.gemm_cache_stats();
+                stats.hits + stats.misses
+            })
+            .sum()
+    };
+    let shards = backends
+        .iter()
+        .map(|(platform, backend)| {
+            Executor::builder(*platform)
+                .backend(Arc::clone(backend))
+                .build()
+        })
+        .collect();
+    let cluster = Arc::new(ServeCluster::try_new(shards, serve_networks()).unwrap());
+    let trace = serve_trace(3, 400, 0.5);
+    let sim = ServeSim::with_cluster(
+        cluster,
+        Arc::new(SizeK::new(4)),
+        &trace,
+        EngineConfig::default(),
+    );
+
+    let cold = lookups();
+    let first = sim.try_run(&mut RoundRobin::default()).unwrap();
+    let warm = lookups();
+    assert!(
+        first.reports.iter().all(|r| !r.plans_compiled.is_empty()),
+        "every shard batches above 1"
+    );
+    assert!(warm > cold, "the first run compiles its batched plans");
+
+    let second = sim.try_run(&mut RoundRobin::default()).unwrap();
+    assert_eq!(lookups(), warm, "the repeat run compiled a plan");
+    for (a, b) in first.reports.iter().zip(&second.reports) {
+        assert_eq!(a.plans_compiled, b.plans_compiled);
+    }
+    assert_eq!(
+        format!("{:?}", sim.outcome(&first)),
+        format!("{:?}", sim.outcome(&second))
+    );
 }
